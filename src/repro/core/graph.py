@@ -13,6 +13,15 @@ mutation surface is :meth:`Network.apply_delta`, used by topology churn
 merely loses all of its links — and every derived view (adjacency
 tuples, degree vector, cached CSR, cached diameter) is rebuilt or
 invalidated atomically so no reader can observe a stale topology.
+The cached CSR arrays are read-only: campaign cells share one network
+across their trials, so an in-place write must fail rather than leak.
+
+The diameter ``D`` (which every trial record carries, and which the
+move bounds are stated in) is computed exactly by an all-sources BFS
+over the CSR with bitset frontiers: each process holds one bit per
+source, and one segmented OR over its neighbors' rows advances every
+source's BFS by a level at once.  A graph left disconnected by churn
+has no finite diameter and raises :class:`networkx.NetworkXError`.
 
 Processes are identified *internally* by integers ``0 .. n-1``.  This does
 not contradict the anonymity assumption of the paper: anonymous algorithms
@@ -30,6 +39,51 @@ import networkx as nx
 from .exceptions import TopologyError
 
 __all__ = ["Network"]
+
+#: BFS sources per bitset block (64 ``uint64`` words per process row),
+#: which bounds the reach matrix at ``n × 512`` bytes.
+_BFS_BLOCK = 4096
+
+_DISCONNECTED = "Found infinite path length because the graph is not connected"
+
+
+def _bitset_diameter(indptr, indices) -> int:
+    """Exact diameter of a graph given in CSR form, by bitset BFS.
+
+    Sources are processed in blocks of :data:`_BFS_BLOCK`.  Row ``u`` of
+    the reach matrix ``R`` is a bitset over the block's sources: bit
+    ``s`` is set once ``u`` lies within the current level's distance of
+    source ``s``.  One level ORs every process's neighbor rows into its
+    own (a ``reduceat`` over ``R[indices]``); a block is done when every
+    row is full, and its level count is the largest eccentricity among
+    its sources.  Raises :class:`networkx.NetworkXError` on a
+    disconnected graph (a degree-0 process, or a level without
+    progress).
+    """
+    import numpy as np
+
+    n = indptr.shape[0] - 1
+    if n == 1:
+        return 0
+    starts = indptr[:-1]
+    if not np.diff(indptr).all():
+        raise nx.NetworkXError(_DISCONNECTED)
+    diameter = 0
+    for lo in range(0, n, _BFS_BLOCK):
+        bits = np.arange(min(_BFS_BLOCK, n - lo))
+        reach = np.zeros((n, (bits.shape[0] + 63) >> 6), dtype=np.uint64)
+        reach[lo + bits, bits >> 6] = np.uint64(1) << (bits & 63).astype(np.uint64)
+        full = np.bitwise_or.reduce(reach, axis=0)
+        level = 0
+        while not (reach == full).all():
+            grown = np.bitwise_or.reduceat(reach[indices], starts, axis=0)
+            grown |= reach
+            if np.array_equal(grown, reach):
+                raise nx.NetworkXError(_DISCONNECTED)
+            reach = grown
+            level += 1
+        diameter = max(diameter, level)
+    return diameter
 
 
 class Network:
@@ -235,7 +289,8 @@ class Network:
         ``indices[indptr[u]:indptr[u+1]]`` are the neighbors of ``u`` in
         ascending order.  Built once and cached; this is the layout the
         array-backed execution kernel (:mod:`repro.core.kernel`) drives.
-        Requires numpy.
+        Both arrays are read-only (they are shared by every reader of the
+        cache).  Requires numpy.
         """
         if self._csr is None:
             import numpy as np
@@ -247,17 +302,21 @@ class Network:
                 dtype=np.int64,
                 count=2 * self.m,
             )
+            indptr.flags.writeable = False
+            indices.flags.writeable = False
             self._csr = (indptr, indices)
         return self._csr
 
     @property
     def diameter(self) -> int:
-        """Network diameter ``D`` (cached; ``0`` for a single process)."""
+        """Network diameter ``D`` (cached; ``0`` for a single process).
+
+        Computed exactly by an all-sources bitset BFS over :meth:`csr`.
+        A network left disconnected by :meth:`apply_delta` has no finite
+        diameter: reading it raises :class:`networkx.NetworkXError`.
+        """
         if self._diameter is None:
-            if self.n == 1:
-                self._diameter = 0
-            else:
-                self._diameter = nx.diameter(self._graph)
+            self._diameter = _bitset_diameter(*self.csr())
         return self._diameter
 
     # ------------------------------------------------------------------

@@ -179,7 +179,7 @@ class MTStream(RandomStream):
         if not self._dirty:
             return
         state = self._bg.state["state"]
-        internal = tuple(int(w) for w in state["key"]) + (int(state["pos"]),)
+        internal = tuple(state["key"].tolist()) + (int(state["pos"]),)
         self._rng.setstate((3, internal, self._gauss))
         self._dirty = False
 

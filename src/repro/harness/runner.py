@@ -652,6 +652,23 @@ def run_fga_trial(
     )
 
 
+#: One-entry memo of the last clean trial's network, as
+#: ``((topology, n, topology_seed), network)``.
+_cell_network: tuple[tuple, Network] | None = None
+
+
+def _trial_network(spec: "TrialSpec", params: dict) -> Network:
+    """The network ``spec`` runs on: the memoized cell's, or a fresh one."""
+    global _cell_network
+    if params.get("churn") is not None:
+        # Churn mutates its network in place: never share it.
+        return by_name(spec.topology, spec.n, seed=spec.topology_seed)
+    key = (spec.topology, spec.n, spec.topology_seed)
+    if _cell_network is None or _cell_network[0] != key:
+        _cell_network = (key, by_name(spec.topology, spec.n, seed=spec.topology_seed))
+    return _cell_network[1]
+
+
 def run_trial(spec: "TrialSpec", seed: int | None = None) -> Trial:
     """Descriptor-driven entry point used by :mod:`repro.engine`.
 
@@ -660,9 +677,17 @@ def run_trial(spec: "TrialSpec", seed: int | None = None) -> Trial:
     daemon, and any extra keyword params; ``seed`` is the trial's PRNG seed
     (the engine derives it from the campaign seed and the spec key; when
     omitted, the replicate index is used so bare specs stay runnable).
+
+    Cell reuse: the last network built is kept, keyed by ``(topology, n,
+    topology_seed)``, and handed to the next trial with the same key.
+    :meth:`~repro.engine.Campaign.iter_specs` puts the replicate index
+    innermost, so a cell's trials arrive back to back and the cell
+    builds its network (and computes its diameter) once.  Trials with a
+    ``churn`` param mutate their network, so they always get a fresh one
+    and neither read nor replace the kept one.
     """
     params = spec.kwargs() if hasattr(spec, "kwargs") else dict(spec.params)
-    network = by_name(spec.topology, spec.n, seed=spec.topology_seed)
+    network = _trial_network(spec, params)
     if seed is None:
         seed = spec.trial
     if spec.algorithm == "unison":

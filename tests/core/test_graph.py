@@ -1,9 +1,13 @@
 """Unit tests for :mod:`repro.core.graph`."""
 
+import random
+
 import networkx as nx
 import pytest
 
 from repro.core import Network, TopologyError
+from repro.core import graph as graph_module
+from repro.topology import TOPOLOGIES, by_name
 
 
 class TestConstruction:
@@ -167,3 +171,93 @@ class TestChurnDelta:
         assert net.diameter == 3
         net.apply_delta(adds=[(0, 3)])
         assert net.diameter == 2
+
+
+class TestReadOnlyCSR:
+    def test_csr_arrays_reject_writes(self):
+        indptr, indices = Network(nx.cycle_graph(4)).csr()
+        with pytest.raises(ValueError):
+            indptr[0] = 1
+        with pytest.raises(ValueError):
+            indices[0] = 3
+
+    def test_rebuilt_csr_is_read_only_too(self):
+        net = Network(nx.path_graph(4))
+        net.csr()
+        net.apply_delta(adds=[(0, 3)])
+        indptr, indices = net.csr()
+        assert not indptr.flags.writeable
+        assert not indices.flags.writeable
+
+
+def _oracle(net: Network) -> int:
+    return nx.diameter(net.to_networkx()) if net.n > 1 else 0
+
+
+class TestBitsetDiameter:
+    """``Network.diameter`` against ``nx.diameter`` as the oracle."""
+
+    SIZES = (1, 2, 3, 63, 64, 65, 127, 128, 129)
+
+    @pytest.mark.parametrize("family", sorted(TOPOLOGIES))
+    def test_every_family_across_word_boundaries(self, family):
+        built = 0
+        for n in self.SIZES:
+            try:
+                net = by_name(family, n, seed=0)
+            except TopologyError:  # e.g. no ring on two processes
+                continue
+            assert net.diameter == _oracle(net), n
+            built += 1
+        assert built >= len(self.SIZES) - 2
+
+    @pytest.mark.parametrize("family", ["random", "sparse", "tree"])
+    @pytest.mark.parametrize("seed", range(6))
+    @pytest.mark.parametrize("n", [9, 64, 65, 129])
+    def test_seeded_families(self, family, seed, n):
+        net = by_name(family, n, seed=seed)
+        assert net.diameter == _oracle(net)
+
+    @pytest.mark.parametrize("n", [63, 64, 65, 129])
+    def test_several_source_blocks(self, monkeypatch, n):
+        monkeypatch.setattr(graph_module, "_BFS_BLOCK", 64)
+        for family in ("ring", "tree", "sparse"):
+            net = by_name(family, n, seed=1)
+            assert net.diameter == _oracle(net)
+
+    @pytest.mark.parametrize("seed", range(5))
+    def test_after_churn_adds_and_drops(self, seed):
+        rng = random.Random(seed)
+        net = by_name("sparse", 65, seed=seed)
+        for _ in range(6):
+            edges = list(net.edges())
+            rng.shuffle(edges)
+            drops = []
+            for u, v in edges:
+                probe = net.to_networkx()
+                probe.remove_edges_from(drops + [(u, v)])
+                if nx.is_connected(probe):
+                    drops.append((u, v))
+                if len(drops) == 3:
+                    break
+            absent = [
+                (u, v) for u in range(net.n) for v in range(u + 1, net.n)
+                if not net.are_neighbors(u, v)
+            ]
+            adds = rng.sample(absent, 2)
+            net.apply_delta(drops=drops, adds=adds)
+            assert net.diameter == _oracle(net)
+
+    def test_isolated_process_after_churn_raises(self):
+        net = Network(nx.path_graph(4))
+        assert net.diameter == 3
+        net.apply_delta(drops=[(2, 3)])
+        with pytest.raises(nx.NetworkXError):
+            net.diameter
+
+    def test_split_into_components_after_churn_raises(self):
+        net = Network(nx.path_graph(70))
+        net.apply_delta(drops=[(34, 35)])
+        assert min(net.degrees) > 0
+        with pytest.raises(nx.NetworkXError):
+            net.diameter

@@ -1,6 +1,7 @@
 """Public API surface tests: everything advertised is importable and wired."""
 
 import importlib
+from pathlib import Path
 
 import pytest
 
@@ -14,6 +15,13 @@ class TestTopLevelExports:
 
     def test_version(self):
         assert repro.__version__ == "1.0.0"
+
+    def test_version_matches_pyproject(self):
+        tomllib = pytest.importorskip("tomllib")
+        root = Path(__file__).resolve().parents[1]
+        with open(root / "pyproject.toml", "rb") as fh:
+            project = tomllib.load(fh)["project"]
+        assert project["version"] == repro.__version__
 
     @pytest.mark.parametrize(
         "module",
