@@ -166,9 +166,15 @@ def run_batch(
     rule_idx = np.empty(total, dtype=np.int8)
     rule_counts = [0] * nrules
     only_rule = [0 if nrules == 1 else -1]
+    #: ``step_memo[0]``: the step memo of the last guard pass over the
+    #: working ``read`` buffers (fresh per pass, dropped at compaction),
+    #: handed to the actions that step from exactly that configuration.
+    step_memo: list[dict | None] = [None]
 
     def compute_enabled() -> np.ndarray:
-        masks = prog.guard_masks(read)
+        memo: dict = {}
+        masks = prog.guard_masks(read, memo=memo)
+        step_memo[0] = memo
         enabled, only, grand = dispatch_rules(masks, rules, rule_idx, rule_counts)
         only_rule[0] = only
         if (
@@ -388,6 +394,7 @@ def run_batch(
                 retiled = program.tiled(blocks)
                 if retiled is not None:  # tiled(trials) succeeded above
                     prog = retiled
+                step_memo[0] = None  # sized for the dropped blocks
                 rule_idx = rule_idx[:cut]
                 pending = pending[:cut]
                 scratch = scratch[:cut]
@@ -432,9 +439,10 @@ def run_batch(
 
             for src, dst in column_pairs[flip]:
                 dst[:] = src
+            memo = step_memo[0]
             k = only_rule[0]
             if k >= 0:
-                prog.apply(rules[k], chosen, read, write)
+                prog.apply(rules[k], chosen, read, write, memo)
                 rule_hist[:, k] += np.bincount(chosen // n, minlength=trials)
             else:
                 kinds = rule_idx[chosen]
@@ -443,7 +451,7 @@ def run_batch(
                         continue
                     idx = chosen[kinds == k]
                     if idx.shape[0]:
-                        prog.apply(rules[k], idx, read, write)
+                        prog.apply(rules[k], idx, read, write, memo)
                         rule_hist[:, k] += np.bincount(
                             idx // n, minlength=trials
                         )

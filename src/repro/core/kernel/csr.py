@@ -221,7 +221,9 @@ class CSRAdjacency:
             out = fold(masked[0::d], masked[1::d])
             for lane in range(2, d):
                 fold(out, masked[lane::d], out=out)
-        else:
+        elif self._has_empty:
             out = np.full(self.n, identity, dtype=masked.dtype)
             fold.at(out, self.edge_src, masked)
+        else:
+            out = fold.reduceat(masked, self._starts)
         return np.where(self.any_neigh(edge_mask), out, default)

@@ -196,6 +196,7 @@ class KernelRuntime:
         "live",
         "max_enabled_rules",
         "_masks",
+        "_memo",
         "_singles",
         "_rule_idx",
         "_rule_idx_prev",
@@ -217,6 +218,11 @@ class KernelRuntime:
         #: enabled, never selected, never counted.
         self.live: np.ndarray | None = None
         self._masks: dict[str, np.ndarray] | None = None
+        #: The step memo filled by the guard pass that produced
+        #: ``_masks`` — valid exactly as long as ``_masks`` (refreshed
+        #: and invalidated together), handed to every action and
+        #: predicate evaluated on the same read columns.
+        self._memo: dict | None = None
         self._singles = [(rule,) for rule in self.rules]
         #: Per process: index of its single enabled rule, -1 if disabled
         #: (-2 marks the multi-rule case, resolved in the slow path).
@@ -233,7 +239,8 @@ class KernelRuntime:
     # ------------------------------------------------------------------
     def guard_masks(self) -> dict[str, np.ndarray]:
         if self._masks is None:
-            masks = self.program.guard_masks(self.read)
+            memo: dict = {}
+            masks = self.program.guard_masks(self.read, memo=memo)
             if self.live is not None:
                 masks = {
                     rule: mask & self.live
@@ -241,6 +248,7 @@ class KernelRuntime:
                     if mask is not None
                 }
             self._masks = masks
+            self._memo = memo
         return self._masks
 
     def enabled_map(self) -> dict[int, tuple[str, ...]]:
@@ -314,19 +322,24 @@ class KernelRuntime:
     # Stepping
     # ------------------------------------------------------------------
     def apply(self, selection: Mapping[int, str]) -> None:
-        """One atomic step: execute ``selection`` against the read buffer."""
+        """One atomic step: execute ``selection`` against the read buffer.
+
+        Actions reuse the step memo of the guard pass over this read
+        buffer when one is current (``None`` otherwise).
+        """
         by_rule: dict[str, list[int]] = {}
         for u, rule in selection.items():
             by_rule.setdefault(rule, []).append(u)
         read, write = self.read, self.write
         for name, col in read.items():
             write[name][:] = col
+        memo = self._memo
         for rule, processes in by_rule.items():
             processes.sort()
             idx = np.asarray(processes, dtype=np.int64)
-            self.program.apply(rule, idx, read, write)
+            self.program.apply(rule, idx, read, write, memo)
         self.read, self.write = write, read
-        self._masks = None
+        self._masks = self._memo = None
 
     def snapshot(self, rng: Random | None = None, rounds=None) -> KernelSnapshot:
         """Copy the runtime's mutable state into a :class:`KernelSnapshot`.
@@ -367,7 +380,7 @@ class KernelRuntime:
         else:
             self.live[:] = snap.live
         self.max_enabled_rules = snap.max_enabled_rules
-        self._masks = None
+        self._masks = self._memo = None
         self._prev_valid = False
         self._prev_map = {}
         if rng is not None and snap.rng_state is not None:
@@ -388,7 +401,7 @@ class KernelRuntime:
         schema_vars = {var.name: var for var in self.program.schema.vars}
         for u, name, value in assignments:
             self.read[name][u] = schema_vars[name].encode_value(value)
-        self._masks = None
+        self._masks = self._memo = None
         self._prev_valid = False
 
     def apply_churn(self, occ) -> None:
@@ -396,7 +409,9 @@ class KernelRuntime:
 
         Patches the program's CSR adjacency in place
         (:meth:`~repro.core.kernel.csr.CSRAdjacency.apply_delta`),
-        invalidates its edge-space caches, maintains the liveness
+        invalidates its edge-space caches
+        (:meth:`~repro.core.kernel.programs.KernelProgram.topology_changed`)
+        and the step memo, maintains the liveness
         column, and injects join state through :meth:`inject` (schema
         encoding, same as faults).  A crashed process's registers stay
         frozen in the columns — neighbors can no longer read them
@@ -406,10 +421,7 @@ class KernelRuntime:
         if occ.drops or occ.adds:
             program = self.program
             program.csr.apply_delta(occ.drops, occ.adds)
-            # Edge-space caches (e.g. the IR programs' ``edge_true``)
-            # are sized by the edge count, which just changed.
-            if getattr(program, "_edge_true", None) is not None:
-                program._edge_true = None
+            program.topology_changed()
         if occ.victims:
             if occ.action == "crash":
                 if self.live is None:
@@ -419,7 +431,7 @@ class KernelRuntime:
                 self.live[list(occ.victims)] = True
         if occ.assignments:
             self.inject(occ.assignments)
-        self._masks = None
+        self._masks = self._memo = None
         self._prev_valid = False
 
     # ------------------------------------------------------------------
@@ -446,8 +458,9 @@ class KernelRuntime:
         vector (consuming ``rng``'s stream exactly like its dict twin),
         actions mutate the double buffer, and accounting lands in flat
         counters.  Stops at a terminal configuration, when the optional
-        ``until`` mask (a per-process predicate over the read columns)
-        holds everywhere — checked on the initial configuration too, like
+        ``until`` mask (a per-process predicate over the read columns;
+        one of the program's own ``<name>_mask`` methods also gets the
+        step memo) holds everywhere — checked on the initial configuration too, like
         the simulator's ``stop_when`` — when an attached probe requests
         it, or when ``max_steps`` runs out.
 
@@ -459,8 +472,9 @@ class KernelRuntime:
         :class:`repro.probes.Probe` instances served inline: their
         ``on_columns`` hook sees ``view`` (a
         :class:`repro.probes.ColumnView` prepared by the caller, with
-        ``steps``/``moves`` preset to the execution's running totals)
-        once on the initial configuration and once per step, and any
+        ``steps``/``moves`` preset to the execution's running totals, and
+        ``memo`` set to the current step memo) once on the initial
+        configuration and once per step, and any
         probe whose ``done()`` turns true stops the run with
         ``stop_reason="probe"``.  The caller decodes at the boundary;
         nothing here builds a dict or a
@@ -500,6 +514,13 @@ class KernelRuntime:
         # When every enabled process has the same single rule enabled,
         # rule dispatch is trivial; ``only_rule[0]`` holds its index then.
         only_rule = [0 if nrules == 1 else -1]
+        until_memo = getattr(until, "__self__", None) is program
+
+        def reached() -> bool:
+            """Whether ``until`` holds everywhere on the read columns."""
+            if until_memo:
+                return bool(until(self.read, self._memo).all())
+            return bool(until(self.read).all())
 
         def compute_enabled() -> np.ndarray:
             """Refresh rule dispatch state and return the enabled mask."""
@@ -528,6 +549,7 @@ class KernelRuntime:
             """Show the current configuration to every probe; True = stop."""
             view.phase = phase
             view.cols = self.read
+            view.memo = self._memo
             view.chosen = chosen
             view.enabled_mask = mask
             view.chosen_rules = chosen_kinds
@@ -574,7 +596,7 @@ class KernelRuntime:
                 return FusedResult(0, 0, acc.counts,
                                    self._rule_totals(moves_per_rule),
                                    "probe", False)
-            if until is not None and bool(until(self.read).all()):
+            if until is not None and reached():
                 return FusedResult(0, 0, acc.counts,
                                    self._rule_totals(moves_per_rule),
                                    "predicate", True)
@@ -691,13 +713,13 @@ class KernelRuntime:
                     tcounts[T_DAEMON] += 1
                     t_mark = t_now
 
-                read, write = self.read, self.write
+                read, write, memo = self.read, self.write, self._memo
                 for src, dst in column_pairs[flip]:
                     dst[:] = src
                 k0 = only_rule[0]
                 chosen_kinds = None
                 if k0 >= 0:
-                    program.apply(rules[k0], chosen, read, write)
+                    program.apply(rules[k0], chosen, read, write, memo)
                     moves_per_rule[k0] += chosen.shape[0]
                     if probes:
                         chosen_kinds = np.full(
@@ -713,11 +735,11 @@ class KernelRuntime:
                             continue  # no process had this rule enabled
                         idx = chosen[kinds == k]
                         if idx.shape[0]:
-                            program.apply(rules[k], idx, read, write)
+                            program.apply(rules[k], idx, read, write, memo)
                             moves_per_rule[k] += idx.shape[0]
                     chosen_kinds = kinds
                 self.read, self.write = write, read
-                self._masks = None
+                self._masks = self._memo = None
                 self._prev_valid = False
                 flip ^= 1
 
@@ -751,7 +773,7 @@ class KernelRuntime:
                     if stop:
                         stop_reason = "probe"
                         break
-                if until is not None and bool(until(self.read).all()):
+                if until is not None and reached():
                     stop_reason = "predicate"
                     hit = True
                     break

@@ -18,7 +18,8 @@ forms —
 
 ``python -m repro.ir check`` lints every registered rule set: it
 compiles both backends and verifies rule-label parity, schema parity,
-guard/action agreement with the native dict implementation, and mask
+guard/action agreement with the native dict implementation (kernel
+actions with and without the guard pass's step memo), and mask
 coverage (see :mod:`~repro.ir.check`).
 """
 

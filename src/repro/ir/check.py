@@ -11,8 +11,14 @@ For every registered algorithm (:mod:`repro.ir.registry`) the lint
 * evaluates the generated kernel's guard masks on the same
   configurations and checks them against the dict guards (mask
   coverage: an omitted mask key must mean an everywhere-false guard);
+* runs every generated kernel action at the processes where its rule is
+  enabled, twice — with the step memo the guard pass filled and with an
+  empty one — and checks both decoded results against the dict
+  ``execute`` value for value (a reduction stored under the wrong memo
+  slot, or a stale one, shows up here);
 * for input rule sets, checks the ``icorrect``/``reset`` predicates
-  (both compilations) against ``p_icorrect``/``p_reset``;
+  (both compilations, the kernel one with and without the guard pass's
+  memo) against ``p_icorrect``/``p_reset``;
 * domain soundness: every value ``algorithm.random_state`` can draw must
   encode within its schema column's declared dtype and the tiled batch
   layout (:func:`check_domains`) — the fault injector corrupts registers
@@ -83,7 +89,8 @@ def check_algorithm(label: str, algorithm) -> list[str]:
         masks = None
         if kernel_program is not None:
             cols = kernel_program.schema.encode(cfg)
-            masks = kernel_program.guard_masks(cols)
+            memo: dict = {}
+            masks = kernel_program.guard_masks(cols, memo=memo)
             stray = set(masks) - set(rule_set.rule_labels)
             if stray:
                 problems.append(f"{label}: masks for unknown rules {stray}")
@@ -115,6 +122,12 @@ def check_algorithm(label: str, algorithm) -> list[str]:
                             f"IR={got_upd!r} native={want_upd!r}"
                         )
 
+        if kernel_program is not None and not problems:
+            problems += _check_kernel_actions(
+                f"{label} (cfg {c})", rule_set, dict_program,
+                kernel_program, cfg, cols, memo,
+            )
+
         if is_input:
             for name, native in (
                 ("icorrect", algorithm.p_icorrect),
@@ -123,23 +136,61 @@ def check_algorithm(label: str, algorithm) -> list[str]:
                 if name not in rule_set.predicates:
                     problems.append(f"{label}: missing predicate {name!r}")
                     break
-                kmask = (
-                    None
-                    if kernel_program is None
-                    else getattr(kernel_program, f"{name}_mask")(cols)
-                )
+                kmasks = ()
+                if kernel_program is not None:
+                    kmask = getattr(kernel_program, f"{name}_mask")
+                    kmasks = (kmask(cols), kmask(cols, memo))
                 for u in processes:
                     want = native(cfg, u)
                     if dict_program.predicate(name, cfg, u) != want:
                         problems.append(
                             f"{label}: dict predicate {name!r} at {u} (cfg {c})"
                         )
-                    if kmask is not None and bool(kmask[u]) != want:
+                    if any(bool(kmask[u]) != want for kmask in kmasks):
                         problems.append(
                             f"{label}: kernel predicate {name!r} at {u} (cfg {c})"
                         )
         if problems:
             break  # one configuration's findings are enough detail
+    return problems
+
+
+def _check_kernel_actions(where: str, rule_set, dict_program, kernel_program,
+                          cfg, cols, memo) -> list[str]:
+    """Kernel actions vs the dict ``execute``, with and without the memo.
+
+    Each rule runs at every process where its dict guard holds, reading
+    ``cols`` (the encoded ``cfg``).  The memo run shares ``memo`` across
+    the rules, as one fused step shares it across its actions.
+    """
+    import numpy as np
+
+    problems: list[str] = []
+    processes = range(len(cfg))
+    for rule in rule_set.rule_labels:
+        enabled = [u for u in processes if dict_program.guard(rule, cfg, u)]
+        if not enabled:
+            continue
+        want = cfg.copy()
+        want.apply({u: dict_program.execute(rule, cfg, u) for u in enabled})
+        idx = np.asarray(enabled, dtype=np.int64)
+        for tag, step_memo in (("guard memo", memo), ("empty memo", None)):
+            write = {name: col.copy() for name, col in cols.items()}
+            try:
+                kernel_program.apply(rule, idx, cols, write, step_memo)
+                got = kernel_program.schema.decode(write)
+            except Exception as exc:  # a broken action is a finding
+                problems.append(
+                    f"{where}: kernel action {rule!r} ({tag}) raised {exc!r}"
+                )
+                continue
+            for u in processes:
+                if got[u] != want[u]:
+                    problems.append(
+                        f"{where}: kernel action {rule!r} at {u} ({tag}): "
+                        f"IR={got[u]!r} dict={want[u]!r}"
+                    )
+                    break
     return problems
 
 

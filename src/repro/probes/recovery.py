@@ -25,7 +25,7 @@ from __future__ import annotations
 from typing import Any, Callable
 
 from .base import Probe
-from .stabilization import resolve_mask
+from .stabilization import mask_values, resolve_mask
 from .view import ColumnView
 
 __all__ = ["RecoveryProbe", "SdrWaveProbe"]
@@ -265,7 +265,7 @@ class RecoveryProbe(Probe):
                 )
         if view.phase == "start":
             return
-        vals = self._mask_fn(view.cols)
+        vals = mask_values(self._mask_fn, view)
         holds = (
             bool(vals[view.live].all()) if view.live is not None
             else bool(vals.all())

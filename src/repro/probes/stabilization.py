@@ -32,7 +32,7 @@ from ..core.exceptions import NotStabilized
 from .base import Probe
 from .view import ColumnView
 
-__all__ = ["StabilizationProbe", "StopProbe"]
+__all__ = ["StabilizationProbe", "StopProbe", "mask_values"]
 
 Predicate = Callable[[Any], bool]
 
@@ -67,6 +67,15 @@ def resolve_mask(program, mask) -> Callable | None:
                 mask,
             )
     return fn
+
+
+def mask_values(mask_fn: Callable, view: ColumnView):
+    """``mask_fn`` over the view's columns, reusing the view's step memo
+    when ``mask_fn`` is one of the view program's own masks."""
+    memo = view.memo
+    if memo is not None and getattr(mask_fn, "__self__", None) is view.program:
+        return mask_fn(view.cols, memo)
+    return mask_fn(view.cols)
 
 
 class StabilizationProbe(Probe):
@@ -193,7 +202,7 @@ class StabilizationProbe(Probe):
                     f"stabilization probe {self.name!r}: mask {self.mask!r} "
                     f"did not resolve against {type(view.program).__name__}"
                 )
-        holds = bool(self._mask_fn(view.cols).all())
+        holds = bool(mask_values(self._mask_fn, view).all())
         if view.phase == "start":
             if not self.hit and holds:
                 self.step = view.steps

@@ -38,6 +38,12 @@ class ColumnView:
     cols:
         The current read columns (mapping variable name → ndarray; block
         views in batched runs).
+    memo:
+        The step memo of the guard pass over ``cols`` (see
+        :meth:`repro.core.kernel.programs.KernelProgram.guard_masks`) in
+        a single execution — pass it to the program's own
+        ``<name>_mask`` methods so they reuse the guards' reductions.
+        ``None`` in batched runs (block views have no memo of their own).
     chosen:
         Activated process indices of this step (ascending, trial-local),
         or ``None`` at phase ``"start"``.
@@ -71,7 +77,7 @@ class ColumnView:
     """
 
     __slots__ = (
-        "program", "trial", "phase", "cols", "chosen", "enabled_mask",
+        "program", "trial", "phase", "cols", "memo", "chosen", "enabled_mask",
         "chosen_rules", "rule_idx", "live", "steps", "moves", "rounds",
     )
 
@@ -80,6 +86,7 @@ class ColumnView:
         self.trial = trial
         self.phase = "start"
         self.cols = None
+        self.memo = None
         self.chosen = None
         self.enabled_mask = None
         self.chosen_rules = None

@@ -109,10 +109,11 @@ class TestProgramTiling:
         from repro.core.kernel.programs import KernelProgram
 
         class Bare(KernelProgram):
-            def guard_masks(self, cols):  # pragma: no cover
+            def guard_masks(self, cols, memo=None):  # pragma: no cover
                 return {}
 
-            def apply(self, rule, idx, read, write):  # pragma: no cover
+            def apply(self, rule, idx, read, write,
+                      memo=None):  # pragma: no cover
                 pass
 
         assert Bare().tiled(2) is None
@@ -177,11 +178,12 @@ class TestRunBatch:
                 self.rules = ("a", "b")
                 self._n = net.n
 
-            def guard_masks(self, cols):
+            def guard_masks(self, cols, memo=None):
                 on = np.ones(cols["x"].shape[0], dtype=np.bool_)
                 return {"a": on.copy(), "b": on.copy()}
 
-            def apply(self, rule, idx, read, write):  # pragma: no cover
+            def apply(self, rule, idx, read, write,
+                      memo=None):  # pragma: no cover
                 pass
 
             def tiled(self, copies):

@@ -18,7 +18,7 @@ from repro.core.exceptions import AlgorithmError
 from repro.core.kernel import CSRAdjacency, KernelRuntime, Schema, Var, kernel_available
 from repro.core.graph import Network
 from repro.reset import SDR
-from repro.topology import grid, ring, star
+from repro.topology import by_name, grid, ring, star
 from repro.unison import Unison
 
 
@@ -114,17 +114,97 @@ class TestKernelRuntime:
             schema = Schema(Var.int("x"))
             rules = ("A", "B", "C")
 
-            def guard_masks(self, cols):
+            def guard_masks(self, cols, memo=None):
                 x = cols["x"]
                 return {"A": x >= 0, "B": x % 2 == 0, "C": x % 2 == 1}
 
-            def apply(self, rule, idx, read, write):
+            def apply(self, rule, idx, read, write, memo=None):
                 write["x"][idx] = read["x"][idx] + 1
 
         runtime = KernelRuntime(ThreeRules(), Configuration([{"x": 0}]))
         assert runtime.enabled_map() == {0: ("A", "B")}
         runtime.apply({0: "A"})
         assert runtime.enabled_map() == {0: ("A", "C")}
+
+
+class TestStepMemoLifetime:
+    """The step memo lives exactly as long as the guard masks.
+
+    After ``inject``/``restore``/``apply_churn`` the next ``apply`` must
+    read the new configuration (and adjacency), never reductions or
+    hoisted edge arrays of the old one: it must match a fresh runtime on
+    a fresh program in the same situation.  The actions copy reduction
+    values verbatim, so any stale entry shows.
+    """
+
+    @staticmethod
+    def program(net):
+        from repro.ir import (Assign, Rule, RuleSet, col, count_neighbors,
+                              min_over_neighbors, neigh, nprocs, param,
+                              proc_index)
+
+        x = col("x")
+        ids = param([(7 * u) % 23 for u in range(net.n)], "ids")
+        lit = neigh(x) > 0
+        busy = count_neighbors(lit)
+        best = min_over_neighbors(neigh(ids * nprocs() + proc_index()),
+                                  where=lit, default=-1)
+        rules = [Rule("step", (busy >= 0) & (best >= -1),
+                      [Assign("x", busy - 2), Assign("y", best)])]
+        return RuleSet("memo-lifetime", net,
+                       Schema(Var.int("x"), Var.int("y")),
+                       rules).compile_kernel()
+
+    @staticmethod
+    def configuration(net, seed):
+        rng = Random(seed)
+        return Configuration([{"x": rng.randrange(-3, 4), "y": 0}
+                              for _ in range(net.n)])
+
+    @staticmethod
+    def assert_step_matches_fresh(runtime, program):
+        fresh = KernelRuntime(program, runtime.decode())
+        selection = {u: "step" for u in fresh.enabled_map()}
+        assert len(selection) == len(fresh.read["x"])
+        fresh.apply(selection)
+        runtime.apply(selection)
+        for name, col in fresh.read.items():
+            np.testing.assert_array_equal(runtime.read[name], col, err_msg=name)
+
+    def test_inject_then_apply(self):
+        net = by_name("random", 24, seed=3)
+        runtime = KernelRuntime(self.program(net), self.configuration(net, 1))
+        runtime.enabled_map()  # fills the memo for the old configuration
+        other = self.configuration(net, 2)
+        runtime.inject([(u, "x", other[u]["x"]) for u in net.processes()])
+        self.assert_step_matches_fresh(runtime, self.program(net))
+
+    def test_restore_then_apply(self):
+        net = by_name("random", 24, seed=3)
+        runtime = KernelRuntime(self.program(net), self.configuration(net, 1))
+        snap = runtime.snapshot()
+        runtime.apply({u: "step" for u in runtime.enabled_map()})
+        runtime.enabled_map()  # memo of the successor configuration
+        runtime.restore(snap)
+        self.assert_step_matches_fresh(runtime, self.program(net))
+
+    def test_apply_churn_then_apply(self):
+        from types import SimpleNamespace
+
+        net = by_name("random", 24, seed=3)
+        runtime = KernelRuntime(self.program(net), self.configuration(net, 1))
+        runtime.enabled_map()  # memo and hoisted edge arrays, old adjacency
+        edges = sorted(tuple(sorted(e)) for e in net.edges())
+        present = set(edges)
+        drops = edges[::3]
+        adds = [(u, v) for u in range(net.n) for v in range(u + 1, net.n)
+                if (u, v) not in present][::7]
+        runtime.apply_churn(SimpleNamespace(
+            drops=tuple(drops), adds=tuple(adds), victims=(), action="",
+            assignments=(),
+        ))
+        net.apply_delta(drops, adds)
+        self.assert_step_matches_fresh(runtime, self.program(net))
 
 
 class TestBackendSelection:
