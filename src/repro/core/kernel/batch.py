@@ -20,11 +20,13 @@ block, mirroring :class:`~repro.core.rounds.ArrayRoundCounter`.
 
 from __future__ import annotations
 
+from functools import partial
 from random import Random
 from typing import Callable, Mapping, Sequence
 
 import numpy as np
 
+from ...faults.timing import Disturbances
 from ...telemetry import phases as telemetry
 from ..exceptions import ModelViolation, UnbatchableError
 from .daemons import open_stream, vectorize
@@ -106,12 +108,13 @@ def run_batch(
     ``done()`` freezes its trial with ``stop_reason="probe"``.
     ``faults`` (optional) carries one bound
     :class:`~repro.faults.schedule.BoundFaultSchedule` (or ``None``) per
-    trial: at the top of every iteration, a trial's due occurrences
-    corrupt its block in place (``opt_index`` values globalized by the
-    block offset, exactly like :meth:`Schema.encode_tiled`), guards are
-    recomputed, the trial's round bookkeeping is rebased, and its probes
-    get ``on_fault`` — byte-identical to the same schedule on a single
-    run.  Bound schedules are stateful: pass a fresh binding per trial.
+    trial, polled trial by trial by the serial drivers' one disturbance
+    rule (:class:`~repro.faults.timing.Disturbances`): occurrences corrupt
+    the trial's block in place (``opt_index`` values globalized by the
+    block offset, like :meth:`Schema.encode_tiled`), its round
+    bookkeeping is rebased and its probes get ``on_fault`` —
+    byte-identical to the same schedule on a single run.  Bound
+    schedules are stateful: pass a fresh binding per trial.
     Raises :class:`~repro.core.exceptions.UnbatchableError` when the
     program or a daemon cannot be vectorized — callers catch exactly
     that and fall back to serial trials.
@@ -233,17 +236,16 @@ def run_batch(
         var.name for var in schema.vars if var.kind == "opt_index"
     )
 
-    scheds = None
-    if faults is not None and any(sched is not None for sched in faults):
-        if len(faults) != trials:
-            raise ValueError(
-                f"faults must align with cfgs: {len(faults)} != {trials}"
-            )
-        scheds = list(faults)
+    #: ``(trial, schedule, occurrences)`` fired since the last guard pass.
+    fired: list[tuple[int, object, list]] = []
     schema_vars = {var.name: var for var in schema.vars}
 
-    def inject(t: int, due) -> None:
-        """Apply trial ``t``'s fired occurrences to its block in place."""
+    def disturb(t: int, sched, due) -> None:
+        """Apply trial ``t``'s fired occurrences to its block in place.
+
+        Guards are recomputed lazily, once for every trial disturbed in
+        the same poll (:func:`settle`).
+        """
         lo = int(block_bounds[t])
         for occ in due:
             for u, name, value in occ.assignments:
@@ -251,6 +253,36 @@ def run_batch(
                 if lo and name in opt_index_cols and code >= 0:
                     code += lo
                 read[name][lo + u] = code
+        fired.append((t, sched, due))
+
+    def settle() -> None:
+        """Recompute guards after disturbances; rebase and notify."""
+        nonlocal enabled_mask
+        if not fired:
+            return
+        enabled_mask = compute_enabled()
+        for t, sched, due in fired:
+            rebase_rounds(t)
+            if probes is not None and probes[t]:
+                for occ in due:
+                    sched.notify(probes[t], occ, steps[t], moves[t],
+                                 completed[t])
+        fired.clear()
+
+    def terminal(t: int) -> bool:
+        settle()
+        return not enabled_mask[block_bounds[t]:block_bounds[t + 1]].any()
+
+    clocks = None
+    if faults is not None and any(sched is not None for sched in faults):
+        if len(faults) != trials:
+            raise ValueError(
+                f"faults must align with cfgs: {len(faults)} != {trials}"
+            )
+        clocks = [
+            Disturbances((sched,), partial(disturb, t), partial(terminal, t))
+            for t, sched in enumerate(faults)
+        ]
 
     def rebase_rounds(t: int) -> None:
         """Per-block twin of :meth:`ArrayRoundCounter.rebase`."""
@@ -331,31 +363,20 @@ def run_batch(
 
         while active:
             enabled_any = np.logical_or.reduceat(enabled_mask, block_starts)
-            if scheds is not None:
-                injected: list[tuple[int, list]] = []
+            if clocks is not None:
                 for t in active:
-                    sched = scheds[t]
-                    if sched is None or sched.exhausted:
-                        continue
-                    due = sched.pop_due(steps[t], idle=not enabled_any[t])
-                    if due:
-                        inject(t, due)
-                        injected.append((t, due))
-                if injected:
-                    enabled_mask = compute_enabled()
+                    if steps[t] >= clocks[t].next_due:
+                        clocks[t].fire_due(steps[t])
+                if fired:
+                    settle()
                     enabled_any = np.logical_or.reduceat(
                         enabled_mask, block_starts
                     )
-                    for t, due in injected:
-                        rebase_rounds(t)
-                        if probes is not None and probes[t]:
-                            for occ in due:
-                                info = scheds[t].info(
-                                    occ, step=steps[t], moves=moves[t],
-                                    rounds=completed[t],
-                                )
-                                for probe in probes[t]:
-                                    probe.on_fault(info)
+                for t in active:
+                    if not enabled_any[t] and clocks[t].live:
+                        while clocks[t].pull_forward(steps[t]) and terminal(t):
+                            pass
+                        enabled_any[t] = not terminal(t)
             for t in list(active):
                 if not enabled_any[t]:
                     freeze(t, "terminal")

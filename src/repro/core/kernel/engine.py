@@ -23,6 +23,7 @@ from typing import Callable, Mapping
 
 import numpy as np
 
+from ...faults.timing import Disturbances
 from ...telemetry import phases as telemetry
 from ..configuration import Configuration
 from ..exceptions import ModelViolation
@@ -404,19 +405,16 @@ class KernelRuntime:
         self._masks = self._memo = None
         self._prev_valid = False
 
-    def apply_churn(self, occ) -> None:
-        """Mirror one churn occurrence into the columnar engine.
+    def apply_occurrence(self, occ) -> None:
+        """Apply one disturbance occurrence to the columns, between steps.
 
-        Patches the program's CSR adjacency in place
-        (:meth:`~repro.core.kernel.csr.CSRAdjacency.apply_delta`),
-        invalidates its edge-space caches
-        (:meth:`~repro.core.kernel.programs.KernelProgram.topology_changed`)
-        and the step memo, maintains the liveness
-        column, and injects join state through :meth:`inject` (schema
-        encoding, same as faults).  A crashed process's registers stay
-        frozen in the columns — neighbors can no longer read them
-        because its edges are gone, and the liveness mask keeps it out
-        of every enabled set.
+        A churn occurrence may patch the CSR adjacency in place (then
+        :meth:`~repro.core.kernel.programs.KernelProgram.topology_changed`
+        drops the edge-space caches) and flip the liveness column: a
+        crashed process's registers stay frozen, unreadable (its edges
+        are gone) and out of every enabled set.  Register assignments —
+        a fault's corruption, a join's fresh state — go through
+        :meth:`inject`, which invalidates the guard masks and step memo.
         """
         if occ.drops or occ.adds:
             program = self.program
@@ -429,10 +427,7 @@ class KernelRuntime:
                 self.live[list(occ.victims)] = False
             elif occ.action == "join" and self.live is not None:
                 self.live[list(occ.victims)] = True
-        if occ.assignments:
-            self.inject(occ.assignments)
-        self._masks = self._memo = None
-        self._prev_valid = False
+        self.inject(occ.assignments)
 
     # ------------------------------------------------------------------
     # Fused driving loop
@@ -480,24 +475,22 @@ class KernelRuntime:
         nothing here builds a dict or a
         :class:`~repro.core.configuration.Configuration`.
 
-        ``faults`` is an optional bound
-        :class:`~repro.faults.schedule.BoundFaultSchedule`: at the top of
-        every iteration, due occurrences corrupt the read columns in
-        place (no step, no move), guards are recomputed, the round
-        counter is rebased, and probes get ``on_fault``.  A terminal
-        configuration with occurrences still pending pulls the next one
-        forward (self-stabilization is recovery from faults striking
-        legitimate configurations); if even that enables nothing, the
-        run ends terminal.
-
-        ``churn`` is an optional bound
-        :class:`~repro.faults.churn.BoundChurnSchedule`, handled with
-        the same hoisted one-int-comparison hot path as ``faults``
-        (checked right after them, both at the loop top and in the
-        terminal pull-forward): due occurrences patch the CSR adjacency
-        and the liveness column via :meth:`apply_churn`, refresh the
-        vectorized daemon's topology snapshot, recompute guards, rebase
-        the round counter, and hand probes ``on_churn``.
+        ``faults`` and ``churn`` are optional bound schedules
+        (:class:`~repro.faults.schedule.BoundFaultSchedule`,
+        :class:`~repro.faults.churn.BoundChurnSchedule`), polled by the
+        one disturbance rule of :class:`~repro.faults.timing.Disturbances`
+        — faults first, then churn.  The hot loop compares the step
+        counter against the earliest pending nominal step, one int
+        comparison per step.  Due occurrences land between steps via
+        :meth:`apply_occurrence` (no step, no move); the vectorized
+        daemon adopts any changed links, guards are recomputed, the
+        round counter is rebased, and probes are notified
+        (``on_fault``/``on_churn``).  A terminal configuration with
+        occurrences pending pulls the next one forward
+        (self-stabilization is recovery from faults striking legitimate
+        configurations); a finite schedule keeps being pulled until it
+        runs out or a process wakes, and the run ends terminal only once
+        no schedule can disturb it again.
         """
         program, rules = self.program, self.rules
         nrules = len(rules)
@@ -600,104 +593,38 @@ class KernelRuntime:
                 return FusedResult(0, 0, acc.counts,
                                    self._rule_totals(moves_per_rule),
                                    "predicate", True)
-            fault_sched = faults if faults is not None and not faults.exhausted else None
-            # The hot loop compares the step counter against the next
-            # pending nominal step — one int comparison per iteration —
-            # and only calls into the schedule when something is due (or
-            # the configuration went terminal with occurrences pending).
-            fault_next = (
-                fault_sched.peek_next() if fault_sched is not None else None
-            )
-            churn_sched = churn if churn is not None and not churn.exhausted else None
-            churn_next = (
-                churn_sched.peek_next() if churn_sched is not None else None
-            )
 
-            def inject_due(due) -> "np.ndarray":
-                """Apply popped occurrences; return the new enabled mask."""
+            def disturb(sched, due) -> None:
+                """Apply one schedule's popped occurrences between steps."""
+                nonlocal enabled_mask
+                relinked = False
                 for occ in due:
-                    self.inject(occ.assignments)
-                mask = compute_enabled()
-                if rounds is not None:
-                    rounds.rebase(mask)
-                if probes:
-                    for occ in due:
-                        info = fault_sched.info(
-                            occ, step=steps0 + steps,
-                            moves=moves0 + moves,
-                            rounds=rounds.completed if rounds is not None else 0,
-                        )
-                        for probe in probes:
-                            probe.on_fault(info)
-                return mask
-
-            def churn_due(due) -> "np.ndarray":
-                """Apply popped churn occurrences; return the enabled mask."""
-                for occ in due:
-                    self.apply_churn(occ)
+                    self.apply_occurrence(occ)
+                    relinked = relinked or bool(occ.drops or occ.adds)
+                if relinked:
                     daemon.refresh_topology(self.program.csr)
-                mask = compute_enabled()
+                enabled_mask = compute_enabled()
                 if rounds is not None:
-                    rounds.rebase(mask)
+                    rounds.rebase(enabled_mask)
                 if probes:
+                    done = rounds.completed if rounds is not None else 0
                     for occ in due:
-                        info = churn_sched.info(
-                            occ, step=steps0 + steps,
-                            moves=moves0 + moves,
-                            rounds=rounds.completed if rounds is not None else 0,
-                        )
-                        for probe in probes:
-                            probe.on_churn(info)
-                return mask
+                        sched.notify(probes, occ, steps0 + steps,
+                                     moves0 + moves, done)
 
+            disturbances = Disturbances(
+                (faults, churn), disturb, lambda: not enabled_mask.any()
+            )
+            next_due = disturbances.next_due
             while True:
-                if fault_next is not None and steps0 + steps >= fault_next:
-                    due = fault_sched.pop_due(steps0 + steps)
-                    if due:
-                        enabled_mask = inject_due(due)
-                    fault_next = fault_sched.peek_next()
-                    if fault_next is None:
-                        fault_sched = None
-                if churn_next is not None and steps0 + steps >= churn_next:
-                    due = churn_sched.pop_due(steps0 + steps)
-                    if due:
-                        enabled_mask = churn_due(due)
-                    churn_next = churn_sched.peek_next()
-                    if churn_next is None:
-                        churn_sched = None
+                if steps0 + steps >= next_due:
+                    disturbances.fire_due(steps0 + steps)
+                    next_due = disturbances.next_due
                 enabled_idx = enabled_mask.nonzero()[0]
                 if enabled_idx.shape[0] == 0:
-                    if fault_sched is not None:
-                        # Terminal with occurrences pending: pop anything
-                        # due, else pull exactly one forward — recovery
-                        # from faults is the workload, so the run only
-                        # ends when the schedule cannot disturb it again.
-                        # A finite schedule re-polls even when the pull
-                        # woke nobody (it must play out in full); an
-                        # infinite one falls through and the run ends.
-                        due = fault_sched.pop_due(steps0 + steps, idle=True)
-                        if due:
-                            enabled_mask = inject_due(due)
-                        finite = fault_sched.schedule.finite
-                        fault_next = fault_sched.peek_next()
-                        if fault_next is None:
-                            fault_sched = None
-                        if due and (enabled_mask.any() or finite):
-                            continue
-                    if churn_sched is not None:
-                        # Same pull-forward contract for churn: a silent
-                        # system still experiences its topology events
-                        # (an add_edge at a silent fixpoint commonly
-                        # wakes nobody but must not strand later ones).
-                        due = churn_sched.pop_due(steps0 + steps, idle=True)
-                        if due:
-                            enabled_mask = churn_due(due)
-                        finite = churn_sched.schedule.finite
-                        churn_next = churn_sched.peek_next()
-                        if churn_next is None:
-                            churn_sched = None
-                        if due and (enabled_mask.any() or finite):
-                            continue
+                    if disturbances.pull_forward(steps0 + steps):
+                        next_due = disturbances.next_due
+                        continue
                     stop_reason = "terminal"
                     break
                 if steps >= max_steps:

@@ -46,6 +46,9 @@ import logging
 from random import Random
 from typing import Any, Callable, Iterable, Sequence
 
+from ..faults import (BoundChurnSchedule, BoundFaultSchedule, ChurnSchedule,
+                      FaultSchedule)
+from ..faults.timing import Disturbances
 from ..telemetry import phases as telemetry
 from .algorithm import Algorithm
 from .configuration import Configuration, state_equal
@@ -153,6 +156,12 @@ class _LazyConfigView:
         return iter(self._materialize())
 
 
+#: Disturbance parameter → (schedule class, bound schedule class).
+_DISTURBANCES = {
+    "faults": (FaultSchedule, BoundFaultSchedule),
+    "churn": (ChurnSchedule, BoundChurnSchedule),
+}
+
 #: Sentinel: the vectorized daemon twin has not been resolved yet.
 _VEC_UNRESOLVED = object()
 
@@ -210,30 +219,28 @@ class Simulator:
         measurement does not cost the fast path; any probe wanting
         decoded records keeps the step-by-step loop (its ``on_step``
         hook — today's observer contract).
-    faults:
-        Optional mid-run fault schedule: a
-        :class:`repro.faults.schedule.FaultSchedule`, an already-bound
-        schedule, or a spec string (see :mod:`repro.faults.schedule`).
-        Unbound schedules without an explicit seed bind to this
-        simulator's ``seed`` (0 when constructed from ``rng``), so dict
-        and kernel executions with equal seeds inject byte-identical
-        corruption.  Occurrences fire inside :meth:`run`'s driving loops
-        (all of them — dict, kernel step-by-step, fused) between steps:
-        they add no steps/moves, rebase the round counter, and notify
-        probes via ``on_fault``.
-    churn:
-        Optional mid-run topology churn: a
-        :class:`repro.faults.churn.ChurnSchedule`, an already-bound
-        schedule, or a spec string (see :mod:`repro.faults.churn`).
-        Seed binding follows the ``faults`` convention.  Occurrences
-        mutate the network between steps on every driving loop — links
-        drop/appear, processes crash (state frozen, edges removed,
-        excluded from guards/daemon/accounting via :attr:`dead`) and
-        rejoin with domain-random state — identically across backends;
-        probes are notified via ``on_churn``.  The simulator's
-        :class:`~repro.core.graph.Network` is mutated in place (the
-        fused loop syncs it from the schedule's canonical state on
-        exit), so construct churn trials on a fresh network.
+    faults / churn:
+        Optional mid-run disturbances: register corruption (a
+        :class:`repro.faults.schedule.FaultSchedule`) and topology churn
+        (a :class:`repro.faults.churn.ChurnSchedule` — links drop and
+        appear, processes crash and rejoin with domain-random state),
+        each given as a schedule, an already-bound schedule, or a spec
+        string.  Unbound schedules without an explicit seed bind to this
+        simulator's ``seed`` (0 when constructed from ``rng``), so every
+        backend replays byte-identical occurrences.  Every driving loop
+        (dict, kernel step-by-step, fused) polls both by the one rule of
+        :class:`repro.faults.timing.Disturbances`, faults first: due
+        occurrences land between steps — no step, no move — the enabled
+        set is recomputed, the round counter rebased, and probes get
+        ``on_fault``/``on_churn``.  A terminal configuration with
+        occurrences pending pulls the next one forward; a finite
+        schedule keeps being pulled until it runs out or a process
+        wakes, so the run ends terminal only once no schedule can
+        disturb it again.  Crashed processes stay out of guards, daemon
+        and accounting (:attr:`dead`).  Churn mutates the simulator's
+        :class:`~repro.core.graph.Network` in place (the fused loop
+        syncs it from the schedule's canonical state on exit), so
+        construct churn trials on a fresh network.
 
     Notes
     -----
@@ -275,8 +282,8 @@ class Simulator:
         self.observers = list(observers)
         self.probes = list(probes)
         self._vec_daemon: Any = _VEC_UNRESOLVED
-        self.faults = self._resolve_faults(faults, seed)
-        self.churn = self._resolve_churn(churn, seed)
+        self.faults = self._bind("faults", faults, seed)
+        self.churn = self._bind("churn", churn, seed)
         #: Crashed-and-not-rejoined process ids under topology churn
         #: (kept out of the enabled set on every backend).
         self.dead: set[int] = set()
@@ -455,123 +462,52 @@ class Simulator:
             )
 
     # ------------------------------------------------------------------
-    # Fault injection
+    # Disturbances (faults and churn)
     # ------------------------------------------------------------------
-    def _resolve_faults(self, faults: Any, seed: int | None):
-        """Coerce the ``faults`` argument into a bound schedule (or None)."""
-        if faults is None:
+    def _bind(self, name: str, schedule: Any, seed: int | None):
+        """Coerce a ``faults``/``churn`` argument into a bound schedule."""
+        if schedule is None:
             return None
-        from ..faults.schedule import BoundFaultSchedule, FaultSchedule, parse_schedule
-
-        if isinstance(faults, BoundFaultSchedule):
-            return faults
-        if isinstance(faults, str):
-            faults = parse_schedule(faults)
-        if not isinstance(faults, FaultSchedule):
+        schedule_cls, bound_cls = _DISTURBANCES[name]
+        if isinstance(schedule, bound_cls):
+            return schedule
+        if isinstance(schedule, str):
+            schedule = schedule_cls.parse(schedule)
+        if not isinstance(schedule, schedule_cls):
             raise TypeError(
-                f"faults must be a FaultSchedule, a bound schedule, or a "
-                f"spec string, not {type(faults).__name__}"
+                f"{name} must be a {schedule_cls.__name__}, a bound schedule, "
+                f"or a spec string, not {type(schedule).__name__}"
             )
-        return faults.bind(self.algorithm, default_seed=seed if seed is not None else 0)
+        return schedule.bind(self.algorithm, default_seed=seed if seed is not None else 0)
 
-    def _inject_occurrences(self, due) -> None:
-        """Apply fired occurrences to the live configuration, no step."""
-        if self.backend == "kernel":
-            for occ in due:
-                self._kernel.inject(occ.assignments)
-            self._cfg_dirty = True
-            if self._shadow is not None:
-                for occ in due:
-                    for u, var, value in occ.assignments:
-                        self._shadow.set(u, var, value)
-            self._enabled = self._kernel.enabled_map()
-            self._check_exclusion_kernel()
-            if self._shadow is not None:
-                self._compare_shadow_enabled()
-        else:
-            victims: set[int] = set()
-            for occ in due:
-                for u, var, value in occ.assignments:
-                    self.cfg.set(u, var, value)
-                victims.update(occ.victims)
-            self._update_enabled(victims)
-        self._enabled_snapshot = tuple(self._enabled)
-        self.rounds.rebase(self._enabled)
-        if self.probes:
-            for occ in due:
-                info = self.faults.info(
-                    occ, step=self.step_count, moves=self.move_count,
-                    rounds=self.rounds.completed,
-                )
-                for probe in self.probes:
-                    probe.on_fault(info)
+    def _disturb(self, sched, due) -> None:
+        """Apply one schedule's fired occurrences between steps.
 
-    def _poll_faults(self) -> bool:
-        """Fire due fault occurrences; ``False`` = re-poll before stepping.
-
-        Mirrors the fused loop's injection block exactly: due occurrences
-        (nominal step reached, or one pulled forward at a terminal
-        configuration) corrupt the state between steps.  A pull-forward
-        from a *finite* schedule that enables nothing answers ``False``
-        so the driving loop polls again — a finite schedule always plays
-        out in full before the run can end terminal.  An infinite
-        schedule whose pull wakes nobody falls through (``True``) and
-        the run ends terminal, exactly like the fused driver.
+        Register-only (fault) occurrences update the enabled set
+        incrementally around their victims; churn occurrences, which may
+        change links or liveness, recompute it from scratch.  The bound
+        churn schedule already mirrored its link deltas into the shared
+        :class:`Network` at draw time, so the dict side reads them
+        directly; the kernel patches its CSR adjacency.
         """
-        sched = self.faults
-        if sched is None or sched.exhausted:
-            return True
-        idle = not self._enabled
-        due = sched.pop_due(self.step_count, idle=idle)
-        if not due:
-            return True
-        self._inject_occurrences(due)
-        return not (idle and not self._enabled and sched.schedule.finite)
-
-    # ------------------------------------------------------------------
-    # Topology churn
-    # ------------------------------------------------------------------
-    def _resolve_churn(self, churn: Any, seed: int | None):
-        """Coerce the ``churn`` argument into a bound schedule (or None)."""
-        if churn is None:
-            return None
-        from ..faults.churn import BoundChurnSchedule, ChurnSchedule, parse_churn
-
-        if isinstance(churn, BoundChurnSchedule):
-            return churn
-        if isinstance(churn, str):
-            churn = parse_churn(churn)
-        if not isinstance(churn, ChurnSchedule):
-            raise TypeError(
-                f"churn must be a ChurnSchedule, a bound schedule, or a "
-                f"spec string, not {type(churn).__name__}"
-            )
-        return churn.bind(self.algorithm, default_seed=seed if seed is not None else 0)
-
-    def _apply_churn_occurrences(self, due) -> None:
-        """Mirror fired churn occurrences into every live structure, no step.
-
-        The bound schedule already committed each occurrence's delta to
-        its canonical state — including the shared :class:`Network`,
-        which it mirrors at draw time so state-dependent draws see the
-        same topology on every backend.  This applies the delta to the
-        executing engine and the dead set, recomputes the enabled set
-        from scratch (a topology change can flip guards anywhere),
-        rebases the round counter, and notifies probes.
-        """
+        reshaped = False
         for occ in due:
             if occ.action == "crash":
                 self.dead.update(occ.victims)
             elif occ.action == "join":
                 self.dead.difference_update(occ.victims)
+            reshaped = reshaped or bool(occ.action)
         if self.backend == "kernel":
+            relinked = False
             for occ in due:
-                self._kernel.apply_churn(occ)
+                self._kernel.apply_occurrence(occ)
+                relinked = relinked or bool(occ.drops or occ.adds)
             self._cfg_dirty = True
             # A resolved vectorized daemon twin snapshots CSR arrays at
             # construction; keep it current for any later fused stretch.
-            if self._vec_daemon is not _VEC_UNRESOLVED and self._vec_daemon is not None:
-                self._vec_daemon.refresh_topology(self._program.csr)
+            vec = self._vec_daemon
+            if relinked and vec is not _VEC_UNRESOLVED and vec is not None:
+                vec.refresh_topology(self._program.csr)
             if self._shadow is not None:
                 for occ in due:
                     for u, var, value in occ.assignments:
@@ -584,38 +520,16 @@ class Simulator:
             for occ in due:
                 for u, var, value in occ.assignments:
                     self.cfg.set(u, var, value)
-            self._recompute_all_enabled()
+            if reshaped:
+                self._recompute_all_enabled()
+            else:
+                self._update_enabled({u for occ in due for u in occ.victims})
         self._enabled_snapshot = tuple(self._enabled)
         self.rounds.rebase(self._enabled)
         if self.probes:
             for occ in due:
-                info = self.churn.info(
-                    occ, step=self.step_count, moves=self.move_count,
-                    rounds=self.rounds.completed,
-                )
-                for probe in self.probes:
-                    probe.on_churn(info)
-
-    def _poll_churn(self) -> bool:
-        """Fire due churn occurrences; ``False`` = re-poll before stepping.
-
-        Mirrors the fused loop's churn block exactly (and
-        :meth:`_poll_faults`, which must run first — the fused loop
-        checks faults before churn both at the loop top and in the
-        terminal pull-forward).  Same finite-schedule contract as the
-        fault poll: a pulled occurrence that wakes nobody (an
-        ``add_edge`` at a silent fixpoint is the common case) forces a
-        re-poll until the schedule exhausts or the system wakes.
-        """
-        sched = self.churn
-        if sched is None or sched.exhausted:
-            return True
-        idle = not self._enabled
-        due = sched.pop_due(self.step_count, idle=idle)
-        if not due:
-            return True
-        self._apply_churn_occurrences(due)
-        return not (idle and not self._enabled and sched.schedule.finite)
+                sched.notify(self.probes, occ, self.step_count,
+                             self.move_count, self.rounds.completed)
 
     def _sync_churn_topology(self) -> None:
         """Adopt the bound schedule's canonical topology after a fused run.
@@ -872,11 +786,10 @@ class Simulator:
         )
         vec.store_state(self.daemon)
         rounds.into_counter(self.rounds)
-        if self.faults is not None and self.faults.fired:
-            self._cfg_dirty = True  # zero-step runs can still have injected
+        if any(s is not None and s.fired for s in (self.faults, self.churn)):
+            self._cfg_dirty = True  # zero-step runs can still be disturbed
         if self.churn is not None and self.churn.fired:
             self._sync_churn_topology()
-            self._cfg_dirty = True
         if result.steps:
             self.step_count += result.steps
             self.move_count += result.moves
@@ -958,20 +871,18 @@ class Simulator:
                 else self.step
             )
             executed = 0
-            # Loop order mirrors the fused driver exactly: fault poll,
-            # churn poll, terminal check, budget check, step, stop
-            # checks.  (Each poll fires due occurrences and, at a
-            # terminal configuration, pulls one forward; a ``False``
-            # poll means a finite-schedule pull left the configuration
-            # terminal with occurrences still pending, so the loop
-            # re-polls — the run only ends terminal once no schedule
-            # can disturb it again.)
+            # Loop order mirrors the fused driver exactly: disturbance
+            # poll, terminal check (with pull-forward), budget check,
+            # step, stop checks.
+            disturbances = Disturbances(
+                (self.faults, self.churn), self._disturb, self.is_terminal
+            )
             while True:
-                if not self._poll_faults():
-                    continue
-                if not self._poll_churn():
-                    continue
+                if self.step_count >= disturbances.next_due:
+                    disturbances.fire_due(self.step_count)
                 if self.is_terminal():
+                    if disturbances.pull_forward(self.step_count):
+                        continue
                     stop_reason = "terminal"
                     break
                 if executed >= max_steps:

@@ -4,11 +4,10 @@ Fault model (Devismes & Johnen, ICDCS 2019, Section 2): a transient
 fault corrupts the *register contents* of a process — any of its
 declared variables may be overwritten with an arbitrary value drawn
 from that variable's declared domain — but never the code, the
-topology, or a process identity.  Everything in this package enforces
-that contract: corrupted values come from ``algorithm.random_state``
-(dict side) or the kernel schema's declared domains (vector side), so
-an injection can never produce a configuration the algorithm itself
-could not be started from.
+topology, or a process identity.  Corrupted values always come from
+``algorithm.random_state`` (dict side) or the kernel schema's declared
+domains (vector side), so an injection can never produce a
+configuration the algorithm itself could not be started from.
 
 Two injection surfaces:
 
@@ -17,18 +16,18 @@ Two injection surfaces:
   structured scenario builders (:func:`clock_gradient`,
   :func:`clock_split`, :func:`fake_reset_wave`,
   :func:`hollow_alliance`) perturb γ0 before the run starts.
-* **Mid-run fault schedules** — :class:`FaultSchedule` (declarative,
-  seeded; parsed from specs like ``"every=200,k=3,scope=input"``) fires
-  *during* the run, identically on the dict engine, the fused kernel
-  loop, and batched cells.  :class:`RecoveryProbe` and
+* **Mid-run disturbances** — one occurrence clock
+  (:mod:`repro.faults.timing`: the ``at/every/storm/burst`` timing, the
+  per-occurrence PRNG, terminal pull-forward, and the poll rule every
+  driver follows) carrying two payloads.  :class:`FaultSchedule`
+  (parsed from specs like ``"every=200,k=3,scope=input"``) corrupts
+  registers; :class:`ChurnSchedule` (``"every=50,crash=1"``) mutates
+  the graph — links drop and appear, processes crash and rejoin with
+  arbitrary state, which is one more arbitrarily corrupted process.
+  Both fire identically on the dict engine, the fused kernel loop, and
+  (faults) batched cells.  :class:`RecoveryProbe` and
   :class:`SdrWaveProbe` (re-exported from :mod:`repro.probes`) measure
-  per-burst recovery without leaving the fused loop.
-
-A third surface relaxes the fixed-topology half of that contract in a
-controlled way: **topology churn** (:class:`ChurnSchedule`,
-:mod:`repro.faults.churn`) mutates the *graph* mid-run — links drop and
-appear, processes crash and rejoin with arbitrary state — with the same
-seeded, backend-identical occurrence discipline.
+  per-occurrence recovery without leaving the fused loop.
 """
 
 from .churn import (

@@ -1,4 +1,4 @@
-"""Declarative, seeded topology churn schedules.
+"""Declarative, seeded topology churn schedules — the topology payload.
 
 Where :mod:`repro.faults.schedule` corrupts *register contents*, churn
 mutates the *communication graph* mid-run: links appear and disappear
@@ -7,19 +7,20 @@ every incident link removed, masked out of guard evaluation, daemon
 selection, and move/round accounting) and later rejoin with arbitrary
 state drawn from the algorithm's declared domains (``join`` — which is
 exactly the self-stabilization premise: a joining process is
-indistinguishable from an arbitrarily corrupted one).
+indistinguishable from an arbitrarily corrupted one).  So churn is one
+more payload on the single occurrence clock of
+:mod:`repro.faults.timing`: same timing, same pull-forward, same
+per-occurrence PRNG (tag ``churn``), same poll rule in every driver.
 
-Determinism is load-bearing, same as fault schedules: every occurrence
-draws from a dedicated SHA-256-derived PRNG keyed on ``(seed, event
-index, occurrence index)``.  Unlike faults, a churn draw is
-*state-dependent* — which links can drop depends on which links exist —
-so the bound schedule owns the canonical topology state (liveness
-vector + current adjacency) and updates it at draw time.  Both engines
-replay the identical occurrence stream, so dict, stepped-kernel, and
-fused executions see byte-identical topology sequences under one seed.
+What this module adds is the payload: topology deltas and the
+connectivity policy.  A churn draw is *state-dependent* — which links
+can drop depends on which links exist — so the bound schedule owns the
+canonical topology state (liveness vector + current adjacency) and
+updates it at draw time, in firing order.  Every engine replays the
+identical occurrence stream, so dict, stepped-kernel, and fused
+executions see byte-identical topology sequences under one seed.
 
-Spec grammar reuses the fault timing surface (``at/every/storm/burst``
-with ``start/count/gap/cadence/until``), the action carries ``k``::
+A clause carries the shared timing keys and one action with its ``k``::
 
     every=50,crash=1                 crash one process every 50 steps
     at=100,drop_edge=2               drop two links at step 100
@@ -35,10 +36,11 @@ occurrence records the resulting component count either way.
 
 from __future__ import annotations
 
-import hashlib
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from random import Random
-from typing import Iterator, Sequence
+from typing import Sequence
+
+from .timing import Occurrence, OccurrenceClock, Schedule, Timed, parse_spec
 
 __all__ = [
     "ChurnEvent",
@@ -54,30 +56,14 @@ ACTIONS = ("crash", "join", "drop_edge", "add_edge")
 #: Connectivity policies.
 CONNECTIVITY = ("preserve", "allow")
 
-_SEP = "\x1f"
-_SEED_MASK = (1 << 63) - 1
-
-
-def _occurrence_rng(seed: int, event: int, occurrence: int) -> Random:
-    """The dedicated PRNG for one occurrence of one churn event.
-
-    Keyed on identity, not on firing step (a pulled-forward occurrence
-    draws like its nominally-timed twin), with a tag distinct from the
-    fault stream so co-scheduled fault and churn events never share
-    randomness.
-    """
-    payload = f"{seed}{_SEP}churn{_SEP}{event}{_SEP}{occurrence}".encode("utf-8")
-    digest = hashlib.sha256(payload).digest()
-    return Random(int.from_bytes(digest[:8], "big") & _SEED_MASK)
-
 
 @dataclass(frozen=True)
-class ChurnEvent:
+class ChurnEvent(Timed):
     """One timed topology mutation pattern inside a schedule.
 
-    Timing normalizes exactly like :class:`~repro.faults.schedule.FaultEvent`:
-    every surface form becomes ``(start, gap, count)``.  ``action`` is what
-    fires; ``k`` how many processes/links one occurrence touches.
+    Timing is ``(start, gap, count)`` (see :class:`~repro.faults.timing.Timed`).
+    ``action`` is what fires; ``k`` how many processes/links one
+    occurrence touches.
     """
 
     action: str  # "crash" | "join" | "drop_edge" | "add_edge"
@@ -92,14 +78,7 @@ class ChurnEvent:
     def __post_init__(self):
         if self.action not in ACTIONS:
             raise ValueError(f"unknown churn action {self.action!r}")
-        if self.kind not in ("at", "every", "storm", "burst"):
-            raise ValueError(f"unknown churn event kind {self.kind!r}")
-        if self.start < 0:
-            raise ValueError("churn event start step must be >= 0")
-        if self.count is not None and self.count < 1:
-            raise ValueError("churn event count must be >= 1")
-        if (self.count is None or self.count > 1) and self.gap < 1:
-            raise ValueError("repeating churn events need gap >= 1")
+        self._check_timing("churn")
         if self.k < 1:
             raise ValueError("churn events must touch at least one target (k >= 1)")
         if self.procs and self.action not in ("crash", "join"):
@@ -109,29 +88,9 @@ class ChurnEvent:
         if self.procs and self.clustered:
             raise ValueError("explicit procs and clustered are mutually exclusive")
 
-    def occurrence_steps(self) -> Iterator[int]:
-        """Nominal firing steps, in order (infinite for unbounded events)."""
-        step, i = self.start, 0
-        while self.count is None or i < self.count:
-            yield step
-            step += self.gap
-            i += 1
-
     def canonical(self) -> str:
         """The normalized spec clause for this event."""
-        if self.kind == "at":
-            parts = [f"at={self.start}"]
-        elif self.kind == "every":
-            parts = [f"every={self.gap}"]
-            if self.start != self.gap:
-                parts.append(f"start={self.start}")
-            if self.count is not None:
-                parts.append(f"count={self.count}")
-        elif self.kind == "storm":
-            last = self.start + (self.count - 1) * self.gap
-            parts = [f"storm={self.start}-{last}", f"cadence={self.gap}"]
-        else:  # burst
-            parts = [f"burst={self.start}", f"count={self.count}", f"gap={self.gap}"]
+        parts = self.timing_clause()
         parts.append(f"{self.action}={self.k}")
         if self.procs:
             parts.append("procs=" + "|".join(str(p) for p in self.procs))
@@ -164,15 +123,15 @@ class ChurnInfo:
     rounds: int = 0
 
 
-class ChurnSchedule:
+class ChurnSchedule(Schedule):
     """An ordered collection of :class:`ChurnEvent`, plus seed and policy.
 
-    ``seed=None`` defers to the execution (the harness binds with a
-    trial-derived seed); an explicit seed pins the stream and joins the
-    canonical spec.  ``connectivity`` is schedule-wide: ``preserve``
-    (default) draws only candidates that keep the live subgraph's
-    component count from growing, ``allow`` lets churn partition it.
+    ``connectivity`` is schedule-wide: ``preserve`` (default) draws only
+    candidates that keep the live subgraph's component count from
+    growing, ``allow`` lets churn partition it.
     """
+
+    noun = "churn"
 
     def __init__(
         self,
@@ -180,76 +139,27 @@ class ChurnSchedule:
         seed: int | None = None,
         connectivity: str = "preserve",
     ):
-        if not events:
-            raise ValueError("a churn schedule needs at least one event")
+        super().__init__(events, seed)
         if connectivity not in CONNECTIVITY:
             raise ValueError(
                 f"unknown connectivity policy {connectivity!r} "
                 f"(expected one of {CONNECTIVITY})"
             )
-        self.events = tuple(events)
-        self.seed = seed
         self.connectivity = connectivity
 
     @classmethod
     def parse(cls, spec: str) -> "ChurnSchedule":
         return parse_churn(spec)
 
-    @property
-    def finite(self) -> bool:
-        return all(e.count is not None for e in self.events)
-
-    @property
-    def total_occurrences(self) -> int | None:
-        """Number of occurrences a full run fires (None if unbounded)."""
-        if not self.finite:
-            return None
-        return sum(e.count for e in self.events)
-
-    def canonical(self) -> str:
-        """Normalized spec string — the *measured parameter* form."""
-        parts = [e.canonical() for e in self.events]
+    def _settings(self) -> list[str]:
         if self.connectivity != "preserve":
-            parts.append(f"connectivity={self.connectivity}")
-        if self.seed is not None:
-            parts.append(f"seed={self.seed}")
-        return ";".join(parts)
-
-    def __repr__(self) -> str:
-        return f"ChurnSchedule({self.canonical()!r})"
-
-    def __eq__(self, other) -> bool:
-        return isinstance(other, ChurnSchedule) and self.canonical() == other.canonical()
-
-    def __hash__(self) -> int:
-        return hash(self.canonical())
+            return [f"connectivity={self.connectivity}"]
+        return []
 
     def bind(self, algorithm, default_seed: int = 0) -> "BoundChurnSchedule":
         """Commit this schedule to one execution's algorithm and seed."""
         seed = self.seed if self.seed is not None else default_seed
         return BoundChurnSchedule(self, algorithm, seed)
-
-
-@dataclass
-class _Occurrence:
-    """One committed mutation: identity, nominal step, drawn delta."""
-
-    event: int
-    index: int
-    step: int
-    #: Schedule-wide occurrence ordinal (0-based firing order).
-    burst: int = 0
-    action: str = ""
-    victims: tuple[int, ...] = ()
-    #: Undirected ``(u, v)`` pairs, ``u < v``, in application order.
-    drops: tuple[tuple[int, int], ...] = ()
-    adds: tuple[tuple[int, int], ...] = ()
-    #: ``(process, variable, decoded value)`` triples for joins.
-    assignments: tuple[tuple[int, str, object], ...] = ()
-    #: Live-subgraph shape after the mutation.
-    components: int = 0
-    live: int = 0
-    drawn: bool = field(default=False, repr=False)
 
 
 def _count_components(adj, live) -> int:
@@ -271,8 +181,8 @@ def _count_components(adj, live) -> int:
     return count
 
 
-class BoundChurnSchedule:
-    """A schedule bound to an algorithm and a seed — the applicable form.
+class BoundChurnSchedule(OccurrenceClock):
+    """A churn schedule bound to an algorithm and a seed.
 
     Owns the *canonical topology state*: the liveness vector, the current
     adjacency, and the deployment ("base") adjacency that joins reconnect
@@ -287,16 +197,14 @@ class BoundChurnSchedule:
     plus the liveness mask on the kernel side — the dict side reads the
     already-mirrored ``Network`` directly).
 
-    The pop protocol mirrors :class:`~repro.faults.schedule.BoundFaultSchedule`
-    exactly, including terminal pull-forward: a silent system still
-    experiences its churn.
+    Timing and pull-forward are the shared occurrence clock's, so a
+    silent system still experiences its churn.
     """
 
+    tag = "churn"
+
     def __init__(self, schedule: ChurnSchedule, algorithm, seed: int):
-        self.schedule = schedule
-        self.algorithm = algorithm
-        self.seed = seed
-        self.fired = 0
+        super().__init__(schedule, algorithm, seed)
         network = algorithm.network
         #: The live :class:`~repro.core.graph.Network`, mirrored *at draw
         #: time*: every committed delta is applied here immediately, so
@@ -313,57 +221,15 @@ class BoundChurnSchedule:
         self.base = tuple(tuple(network.neighbors(u)) for u in range(self.n))
         self._preserve = schedule.connectivity == "preserve"
         self._variables = tuple(algorithm.variables())
-        # Per-event cursors over the (possibly unbounded) occurrence steps.
-        self._iters = [e.occurrence_steps() for e in schedule.events]
-        self._next: list[int | None] = [next(it) for it in self._iters]
-        self._counts = [0] * len(schedule.events)
 
-    # ------------------------------------------------------------------
-    def peek_next(self) -> int | None:
-        """Nominal step of the earliest pending occurrence (None = done)."""
-        pending = [s for s in self._next if s is not None]
-        return min(pending) if pending else None
+    def pop_due(self, step: int, idle: bool = False) -> list[Occurrence]:
+        """Due occurrences (see :meth:`OccurrenceClock.pop_due`), drawn.
 
-    @property
-    def exhausted(self) -> bool:
-        return self.peek_next() is None
-
-    def _advance(self, event: int) -> _Occurrence:
-        step = self._next[event]
-        occ = _Occurrence(event, self._counts[event], step, burst=self.fired)
-        self._counts[event] += 1
-        try:
-            self._next[event] = next(self._iters[event])
-        except StopIteration:
-            self._next[event] = None
-        self.fired += 1
-        self._draw(occ)
-        return occ
-
-    def pop_due(self, step: int, idle: bool = False) -> list[_Occurrence]:
-        """All occurrences due at ``step`` (events in declaration order).
-
-        ``idle=True`` signals a terminal configuration: when nothing is
-        due but occurrences remain, the earliest is pulled forward.  Each
-        returned occurrence keeps its *nominal* step for reporting, and
-        its delta is already committed to the canonical state — callers
-        must mirror every returned occurrence into their engine.
+        Each is drawn in firing order and its delta committed to the
+        canonical state before the next is drawn — callers must mirror
+        every returned occurrence into their engine.
         """
-        due: list[_Occurrence] = []
-        while True:
-            ready = [
-                i for i, s in enumerate(self._next) if s is not None and s <= step
-            ]
-            if not ready:
-                break
-            event = min(ready, key=lambda i: (self._next[i], i))
-            due.append(self._advance(event))
-        if not due and idle:
-            pending = [i for i, s in enumerate(self._next) if s is not None]
-            if pending:
-                event = min(pending, key=lambda i: (self._next[i], i))
-                due.append(self._advance(event))
-        return due
+        return [self._draw(occ) for occ in super().pop_due(step, idle)]
 
     # ------------------------------------------------------------------
     # Canonical-state queries (for drivers and posthoc sync)
@@ -388,11 +254,9 @@ class BoundChurnSchedule:
     # ------------------------------------------------------------------
     # Draws (state-dependent, committed at pop time)
     # ------------------------------------------------------------------
-    def _draw(self, occ: _Occurrence) -> None:
-        if occ.drawn:
-            return
+    def _draw(self, occ: Occurrence) -> Occurrence:
         event = self.schedule.events[occ.event]
-        rng = _occurrence_rng(self.seed, occ.event, occ.index)
+        rng = self._rng(occ)
         occ.action = event.action
         if event.action == "crash":
             self._draw_crash(occ, event, rng)
@@ -404,7 +268,7 @@ class BoundChurnSchedule:
             self._draw_add(occ, event, rng)
         occ.components = self.components()
         occ.live = sum(self.live)
-        occ.drawn = True
+        return occ
 
     def _splits(self, u: int) -> bool:
         """Would silencing live process ``u`` grow the component count?"""
@@ -429,7 +293,7 @@ class BoundChurnSchedule:
             drops.append((u, v) if u < v else (v, u))
         self.adj[u].clear()
 
-    def _draw_crash(self, occ: _Occurrence, event: ChurnEvent, rng: Random) -> None:
+    def _draw_crash(self, occ: Occurrence, event: ChurnEvent, rng: Random) -> None:
         pool = event.procs or range(self.n)
         victims: list[int] = []
         drops: list[tuple[int, int]] = []
@@ -465,7 +329,7 @@ class BoundChurnSchedule:
         occ.victims = tuple(sorted(victims))
         occ.drops = tuple(drops)
 
-    def _draw_join(self, occ: _Occurrence, event: ChurnEvent, rng: Random) -> None:
+    def _draw_join(self, occ: Occurrence, event: ChurnEvent, rng: Random) -> None:
         pool = event.procs or range(self.n)
         victims: list[int] = []
         adds: list[tuple[int, int]] = []
@@ -500,7 +364,7 @@ class BoundChurnSchedule:
         occ.adds = tuple(adds)
         occ.assignments = tuple(assignments)
 
-    def _draw_drop(self, occ: _Occurrence, event: ChurnEvent, rng: Random) -> None:
+    def _draw_drop(self, occ: Occurrence, event: ChurnEvent, rng: Random) -> None:
         drops: list[tuple[int, int]] = []
         for _ in range(event.k):
             cands = list(self.current_edges())
@@ -525,7 +389,7 @@ class BoundChurnSchedule:
             self.network.apply_delta(drops, ())
         occ.drops = tuple(drops)
 
-    def _draw_add(self, occ: _Occurrence, event: ChurnEvent, rng: Random) -> None:
+    def _draw_add(self, occ: Occurrence, event: ChurnEvent, rng: Random) -> None:
         adds: list[tuple[int, int]] = []
         for _ in range(event.k):
             live = [u for u in range(self.n) if self.live[u]]
@@ -545,7 +409,7 @@ class BoundChurnSchedule:
             self.network.apply_delta((), adds)
         occ.adds = tuple(adds)
 
-    def info(self, occ: _Occurrence, step: int,
+    def info(self, occ: Occurrence, step: int,
              moves: int = 0, rounds: int = 0) -> ChurnInfo:
         return ChurnInfo(
             step=step,
@@ -561,112 +425,51 @@ class BoundChurnSchedule:
             rounds=rounds,
         )
 
+    def notify(self, probes, occ: Occurrence, step: int,
+               moves: int, rounds: int) -> None:
+        """Hand every probe this occurrence's :class:`ChurnInfo`."""
+        info = self.info(occ, step, moves, rounds)
+        for probe in probes:
+            probe.on_churn(info)
+
 
 # ----------------------------------------------------------------------
-# The spec grammar (the CLI's --churn argument).
+# The spec grammar's payload half (the CLI's --churn argument).
 # ----------------------------------------------------------------------
-_EVENT_KEYS = ("at", "every", "storm", "burst")
-_INT_KEYS = ("start", "until", "count", "gap", "cadence", "seed")
+def _payload_key(key: str, value: str, opts: dict, settings: dict) -> bool:
+    if key == "connectivity":
+        if value not in CONNECTIVITY:
+            raise ValueError(
+                f"unknown connectivity policy {value!r} "
+                f"(expected one of {CONNECTIVITY})"
+            )
+        settings["connectivity"] = value
+    elif key in ACTIONS:
+        if "action" in opts:
+            raise ValueError(
+                f"churn clauses take exactly one action, got both "
+                f"{opts['action']!r} and {key!r}"
+            )
+        opts["action"] = key
+        opts["k"] = int(value)
+    else:
+        return False
+    return True
 
 
-def _parse_clause(clause: str) -> tuple[dict, int | None, str | None]:
-    """One ';'-separated clause → (options, schedule seed, connectivity)."""
-    opts: dict = {}
-    seed = None
-    connectivity = None
-    for item in clause.split(","):
-        item = item.strip()
-        if not item:
-            continue
-        if "=" not in item:
-            if item == "clustered":
-                opts["clustered"] = True
-                continue
-            raise ValueError(f"malformed churn spec item {item!r}")
-        key, _, value = item.partition("=")
-        key, value = key.strip(), value.strip()
-        if key == "seed":
-            seed = int(value)
-        elif key == "connectivity":
-            if value not in CONNECTIVITY:
-                raise ValueError(
-                    f"unknown connectivity policy {value!r} "
-                    f"(expected one of {CONNECTIVITY})"
-                )
-            connectivity = value
-        elif key == "storm":
-            lo, sep, hi = value.partition("-")
-            if not sep:
-                raise ValueError(f"storm window must be A-B, got {value!r}")
-            opts["storm"] = (int(lo), int(hi))
-        elif key == "procs":
-            opts["procs"] = tuple(int(p) for p in value.split("|") if p != "")
-        elif key in ACTIONS:
-            if "action" in opts:
-                raise ValueError(
-                    f"churn clauses take exactly one action, got both "
-                    f"{opts['action']!r} and {key!r}"
-                )
-            opts["action"] = key
-            opts["k"] = int(value)
-        elif key in _INT_KEYS or key in _EVENT_KEYS:
-            opts[key] = int(value)
-        else:
-            raise ValueError(f"unknown churn spec key {key!r}")
-    return opts, seed, connectivity
-
-
-def _clause_event(opts: dict) -> ChurnEvent:
-    kinds = [k for k in _EVENT_KEYS if k in opts]
-    if len(kinds) != 1:
-        raise ValueError(
-            f"each churn clause needs exactly one of {_EVENT_KEYS}, got {kinds}"
-        )
+def _make_event(timing: dict, opts: dict) -> ChurnEvent:
     if "action" not in opts:
         raise ValueError(
             f"each churn clause needs exactly one action of {ACTIONS} "
             f"(e.g. crash=1)"
         )
-    kind = kinds[0]
-    target = dict(
+    return ChurnEvent(
         action=opts.pop("action"),
+        **timing,
         k=opts.pop("k"),
         procs=opts.pop("procs", ()),
         clustered=opts.pop("clustered", False),
     )
-    if kind == "at":
-        event = ChurnEvent(kind="at", start=opts.pop("at"), **target)
-    elif kind == "every":
-        gap = opts.pop("every")
-        start = opts.pop("start", gap)
-        count = opts.pop("count", None)
-        if "until" in opts:
-            until = opts.pop("until")
-            if until < start:
-                raise ValueError("every: until must be >= start")
-            count = (until - start) // gap + 1
-        event = ChurnEvent(kind="every", start=start, gap=gap, count=count, **target)
-    elif kind == "storm":
-        lo, hi = opts.pop("storm")
-        cadence = opts.pop("cadence", None)
-        if cadence is None:
-            raise ValueError("storm windows need cadence=K")
-        if hi < lo:
-            raise ValueError(f"storm window {lo}-{hi} is empty")
-        event = ChurnEvent(
-            kind="storm", start=lo, gap=cadence, count=(hi - lo) // cadence + 1,
-            **target,
-        )
-    else:  # burst
-        start = opts.pop("burst")
-        count = opts.pop("count", None)
-        gap = opts.pop("gap", None)
-        if count is None or gap is None:
-            raise ValueError("bursts need count=N and gap=G")
-        event = ChurnEvent(kind="burst", start=start, gap=gap, count=count, **target)
-    if opts:
-        raise ValueError(f"churn spec options {sorted(opts)} don't apply to {kind!r}")
-    return event
 
 
 def parse_churn(spec: str) -> ChurnSchedule:
@@ -677,21 +480,6 @@ def parse_churn(spec: str) -> ChurnSchedule:
     """
     if isinstance(spec, ChurnSchedule):
         return spec
-    if not isinstance(spec, str) or not spec.strip():
-        raise ValueError("empty churn spec")
-    events: list[ChurnEvent] = []
-    seed: int | None = None
-    connectivity = "preserve"
-    for clause in spec.split(";"):
-        if not clause.strip():
-            continue
-        opts, clause_seed, clause_conn = _parse_clause(clause)
-        if clause_seed is not None:
-            seed = clause_seed
-        if clause_conn is not None:
-            connectivity = clause_conn
-        if opts:
-            events.append(_clause_event(opts))
-    if not events:
-        raise ValueError(f"churn spec {spec!r} declares no events")
-    return ChurnSchedule(events, seed=seed, connectivity=connectivity)
+    events, settings = parse_spec(spec, "churn", _payload_key, _make_event)
+    return ChurnSchedule(events, seed=settings.get("seed"),
+                         connectivity=settings.get("connectivity", "preserve"))

@@ -58,6 +58,30 @@ def corrupt_variables(
     return corrupted
 
 
+def pick_victims(network, rng: Random, k: int, clustered: bool = False) -> list[int]:
+    """``k`` distinct victims: uniform, or a BFS-connected region.
+
+    The clustered region grows from a random seed process by popping
+    random frontier entries, so it stays connected.  Shared by
+    :class:`FaultPlan` and mid-run fault schedules.
+    """
+    k = min(k, network.n)
+    if not clustered:
+        return rng.sample(range(network.n), k)
+    seed = rng.randrange(network.n)
+    victims = [seed]
+    frontier = list(network.neighbors(seed))
+    seen = {seed}
+    while len(victims) < k and frontier:
+        v = frontier.pop(rng.randrange(len(frontier)))
+        if v in seen:
+            continue
+        seen.add(v)
+        victims.append(v)
+        frontier.extend(w for w in network.neighbors(v) if w not in seen)
+    return victims
+
+
 class FaultPlan:
     """Reusable fault scenario: *which* processes get hit, and *how*.
 
@@ -82,23 +106,7 @@ class FaultPlan:
 
     def pick_victims(self, algorithm: Algorithm, rng: Random) -> list[int]:
         """Choose the victim processes for one experiment run."""
-        network = algorithm.network
-        k = min(self.k, network.n)
-        if not self.clustered:
-            return rng.sample(range(network.n), k)
-        seed = rng.randrange(network.n)
-        victims = [seed]
-        frontier = list(network.neighbors(seed))
-        seen = {seed}
-        while len(victims) < k and frontier:
-            idx = rng.randrange(len(frontier))
-            v = frontier.pop(idx)
-            if v in seen:
-                continue
-            seen.add(v)
-            victims.append(v)
-            frontier.extend(w for w in network.neighbors(v) if w not in seen)
-        return victims
+        return pick_victims(algorithm.network, rng, self.k, self.clustered)
 
     def apply(self, algorithm: Algorithm, cfg: Configuration, rng: Random) -> tuple[Configuration, list[int]]:
         """Corrupt a copy of ``cfg``; returns ``(corrupted, victims)``."""

@@ -1,22 +1,20 @@
-"""Declarative, seeded mid-run fault schedules.
+"""Declarative, seeded mid-run fault schedules — the register payload.
 
 A :class:`FaultSchedule` describes *when* transient faults strike an
-execution (at a fixed step, every ``k`` steps, across a storm window, or
-as a repeated burst), *which* registers they hit (``k`` random processes,
-an explicit process list, a BFS-clustered region, restricted to named
-variables or a layer scope such as "only the input algorithm's state"),
-and nothing else: the corrupted *values* are always drawn from the
-algorithm's own declared domains via ``random_state``, because transient
-faults in the model corrupt register contents, never code.
+execution (the shared timing of :mod:`repro.faults.timing`: at a fixed
+step, every ``k`` steps, across a storm window, or as a repeated burst),
+*which* registers they hit (``k`` random processes, an explicit process
+list, a BFS-clustered region, restricted to named variables or a layer
+scope such as "only the input algorithm's state"), and nothing else:
+the corrupted *values* are always drawn from the algorithm's own
+declared domains via ``random_state``, because transient faults in the
+model corrupt register contents, never code.
 
-Determinism is the load-bearing property.  Binding a schedule to an
-algorithm and a seed (:meth:`FaultSchedule.bind`) pre-commits every
-occurrence's victims and replacement values to a dedicated PRNG stream
-derived from ``(seed, event index, occurrence index)`` — independent of
-the daemon's RNG, of the backend, and of *when* the occurrence actually
-fires.  The dict engine, the fused kernel loop, and the batched driver
-therefore apply byte-identical corruptions under the same seed, which is
-what the cross-backend property suite asserts.
+Binding a schedule to an algorithm and a seed (:meth:`FaultSchedule.bind`)
+pre-commits every occurrence's victims and replacement values to the
+occurrence's own PRNG stream (tag ``fault``), independent of the
+daemon's RNG, of the backend, and of *when* the occurrence actually
+fires — so every driver applies byte-identical corruptions.
 
 Schedules are written either programmatically or as a compact spec
 string (the sweep CLI's ``--faults`` argument)::
@@ -38,10 +36,11 @@ results, hence they are *measured* parameters).
 
 from __future__ import annotations
 
-import hashlib
-from dataclasses import dataclass, field
-from random import Random
-from typing import Iterator, Sequence
+from dataclasses import dataclass
+from typing import Sequence
+
+from .injector import pick_victims
+from .timing import Occurrence, OccurrenceClock, Schedule, Timed, parse_spec
 
 __all__ = [
     "FaultEvent",
@@ -54,31 +53,13 @@ __all__ = [
 #: Layer scopes resolvable against a composed algorithm.
 SCOPES = ("input", "reset")
 
-_SEP = "\x1f"
-_SEED_MASK = (1 << 63) - 1
-
-
-def _occurrence_rng(seed: int, event: int, occurrence: int) -> Random:
-    """The dedicated PRNG for one occurrence of one event.
-
-    Keyed on identity, not on firing step, so a pulled-forward occurrence
-    (see :meth:`BoundFaultSchedule.pop_due`) draws the same victims and
-    values as its nominally-timed twin.  SHA-256, like the campaign
-    engine's seed derivation, so the stream is stable across platforms.
-    """
-    payload = f"{seed}{_SEP}fault{_SEP}{event}{_SEP}{occurrence}".encode("utf-8")
-    digest = hashlib.sha256(payload).digest()
-    return Random(int.from_bytes(digest[:8], "big") & _SEED_MASK)
-
 
 @dataclass(frozen=True)
-class FaultEvent:
+class FaultEvent(Timed):
     """One timed corruption pattern inside a schedule.
 
-    Every surface form normalizes to ``(start, gap, count)``:
-    ``at=S`` is ``(S, 0, 1)``; ``every=K`` is ``(K, K, None)`` (unbounded);
-    ``storm=A-B,cadence=C`` is ``(A, C, (B-A)//C + 1)``;
-    ``burst=S,count=N,gap=G`` is ``(S, G, N)``.
+    Timing is ``(start, gap, count)`` (see :class:`~repro.faults.timing.Timed`);
+    the rest says which registers one occurrence corrupts.
     """
 
     kind: str  # "at" | "every" | "storm" | "burst"
@@ -92,14 +73,7 @@ class FaultEvent:
     clustered: bool = False
 
     def __post_init__(self):
-        if self.kind not in ("at", "every", "storm", "burst"):
-            raise ValueError(f"unknown fault event kind {self.kind!r}")
-        if self.start < 0:
-            raise ValueError("fault event start step must be >= 0")
-        if self.count is not None and self.count < 1:
-            raise ValueError("fault event count must be >= 1")
-        if (self.count is None or self.count > 1) and self.gap < 1:
-            raise ValueError("repeating fault events need gap >= 1")
+        self._check_timing("fault")
         if self.k < 1 and not self.procs:
             raise ValueError("fault events must target at least one process")
         if self.procs and self.clustered:
@@ -109,29 +83,9 @@ class FaultEvent:
         if self.scope and self.variables:
             raise ValueError("vars and scope are mutually exclusive")
 
-    def occurrence_steps(self) -> Iterator[int]:
-        """Nominal firing steps, in order (infinite for unbounded events)."""
-        step, i = self.start, 0
-        while self.count is None or i < self.count:
-            yield step
-            step += self.gap
-            i += 1
-
     def canonical(self) -> str:
         """The normalized spec clause for this event."""
-        if self.kind == "at":
-            parts = [f"at={self.start}"]
-        elif self.kind == "every":
-            parts = [f"every={self.gap}"]
-            if self.start != self.gap:
-                parts.append(f"start={self.start}")
-            if self.count is not None:
-                parts.append(f"count={self.count}")
-        elif self.kind == "storm":
-            last = self.start + (self.count - 1) * self.gap
-            parts = [f"storm={self.start}-{last}", f"cadence={self.gap}"]
-        else:  # burst
-            parts = [f"burst={self.start}", f"count={self.count}", f"gap={self.gap}"]
+        parts = self.timing_clause()
         if self.procs:
             parts.append("procs=" + "|".join(str(p) for p in self.procs))
         elif self.k != 1:
@@ -164,52 +118,14 @@ class FaultInfo:
     rounds: int = 0
 
 
-class FaultSchedule:
-    """An ordered collection of :class:`FaultEvent`, plus its seed.
+class FaultSchedule(Schedule):
+    """An ordered collection of :class:`FaultEvent`, plus its seed."""
 
-    ``seed=None`` (the default) defers to the execution: the harness
-    binds such schedules with a trial-derived seed, so every trial in a
-    sweep sees independent — but individually reproducible — faults.  An
-    explicit seed pins the stream and becomes part of the canonical spec
-    (and hence of the trial key).
-    """
-
-    def __init__(self, events: Sequence[FaultEvent], seed: int | None = None):
-        if not events:
-            raise ValueError("a fault schedule needs at least one event")
-        self.events = tuple(events)
-        self.seed = seed
+    noun = "fault"
 
     @classmethod
     def parse(cls, spec: str) -> "FaultSchedule":
         return parse_schedule(spec)
-
-    @property
-    def finite(self) -> bool:
-        return all(e.count is not None for e in self.events)
-
-    @property
-    def total_occurrences(self) -> int | None:
-        """Number of injections a full run performs (None if unbounded)."""
-        if not self.finite:
-            return None
-        return sum(e.count for e in self.events)
-
-    def canonical(self) -> str:
-        """Normalized spec string — the *measured parameter* form."""
-        parts = [e.canonical() for e in self.events]
-        if self.seed is not None:
-            parts.append(f"seed={self.seed}")
-        return ";".join(parts)
-
-    def __repr__(self) -> str:
-        return f"FaultSchedule({self.canonical()!r})"
-
-    def __eq__(self, other) -> bool:
-        return isinstance(other, FaultSchedule) and self.canonical() == other.canonical()
-
-    def __hash__(self) -> int:
-        return hash(self.canonical())
 
     def bind(self, algorithm, default_seed: int = 0) -> "BoundFaultSchedule":
         """Commit this schedule to one execution's algorithm and seed."""
@@ -217,111 +133,39 @@ class FaultSchedule:
         return BoundFaultSchedule(self, algorithm, seed)
 
 
-@dataclass
-class _Occurrence:
-    """One committed injection: identity, nominal step, drawn corruption."""
+class BoundFaultSchedule(OccurrenceClock):
+    """A fault schedule bound to an algorithm and a seed.
 
-    event: int
-    index: int
-    step: int
-    #: Schedule-wide injection ordinal (0-based firing order).
-    burst: int = 0
-    victims: tuple[int, ...] = ()
-    #: ``(process, variable, decoded value)`` triples, victims ascending.
-    assignments: tuple[tuple[int, str, object], ...] = ()
-    drawn: bool = field(default=False, repr=False)
-
-
-class BoundFaultSchedule:
-    """A schedule bound to an algorithm and a seed — the injectable form.
-
-    The drivers own the protocol: at the top of every loop iteration they
-    call :meth:`pop_due` with the current step count; each returned
-    occurrence carries pre-drawn ``(process, variable, value)`` triples to
-    apply to the current configuration (dict ``Configuration`` or kernel
-    columns — values are decoded, the appliers encode).  When the
-    execution goes terminal while occurrences remain, the next one is
-    *pulled forward* to the current step: a silent algorithm would
-    otherwise never experience its storm, and self-stabilization's whole
-    claim is recovery from faults that strike legitimate configurations.
+    Each popped occurrence carries pre-drawn ``(process, variable,
+    value)`` triples to apply to the current configuration (dict
+    ``Configuration`` or kernel columns — values are decoded, the
+    appliers encode).  The drivers poll it through
+    :class:`~repro.faults.timing.Disturbances`.
     """
 
+    tag = "fault"
+
     def __init__(self, schedule: FaultSchedule, algorithm, seed: int):
-        self.schedule = schedule
-        self.algorithm = algorithm
-        self.seed = seed
-        self.fired = 0
+        super().__init__(schedule, algorithm, seed)
         self._allowed = tuple(
             resolve_variables(algorithm, e.variables, e.scope)
             for e in schedule.events
         )
-        # Per-event cursors over the (possibly unbounded) occurrence steps.
-        self._iters = [e.occurrence_steps() for e in schedule.events]
-        self._next: list[int | None] = [next(it) for it in self._iters]
-        self._counts = [0] * len(schedule.events)
 
-    # ------------------------------------------------------------------
-    def peek_next(self) -> int | None:
-        """Nominal step of the earliest pending occurrence (None = done)."""
-        pending = [s for s in self._next if s is not None]
-        return min(pending) if pending else None
+    def pop_due(self, step: int, idle: bool = False) -> list[Occurrence]:
+        """Due occurrences (see :meth:`OccurrenceClock.pop_due`), drawn."""
+        return [self._draw(occ) for occ in super().pop_due(step, idle)]
 
-    @property
-    def exhausted(self) -> bool:
-        return self.peek_next() is None
-
-    def _advance(self, event: int) -> _Occurrence:
-        step = self._next[event]
-        occ = _Occurrence(event, self._counts[event], step, burst=self.fired)
-        self._counts[event] += 1
-        try:
-            self._next[event] = next(self._iters[event])
-        except StopIteration:
-            self._next[event] = None
-        self.fired += 1
-        self._draw(occ)
-        return occ
-
-    def pop_due(self, step: int, idle: bool = False) -> list[_Occurrence]:
-        """All occurrences due at ``step`` (events in declaration order).
-
-        ``idle=True`` signals a terminal configuration: when nothing is
-        due but occurrences remain, the earliest is pulled forward so the
-        schedule makes progress against silent algorithms.  Each returned
-        occurrence keeps its *nominal* step for reporting.
-        """
-        due: list[_Occurrence] = []
-        while True:
-            ready = [
-                i for i, s in enumerate(self._next) if s is not None and s <= step
-            ]
-            if not ready:
-                break
-            # Fire in (nominal step, event order), one at a time, so
-            # overlapping events interleave deterministically.
-            event = min(ready, key=lambda i: (self._next[i], i))
-            due.append(self._advance(event))
-        if not due and idle:
-            pending = [i for i, s in enumerate(self._next) if s is not None]
-            if pending:
-                event = min(pending, key=lambda i: (self._next[i], i))
-                due.append(self._advance(event))
-        return due
-
-    # ------------------------------------------------------------------
-    def _draw(self, occ: _Occurrence) -> None:
+    def _draw(self, occ: Occurrence) -> Occurrence:
         """Commit victims and replacement values for one occurrence."""
-        if occ.drawn:
-            return
         event = self.schedule.events[occ.event]
-        rng = _occurrence_rng(self.seed, occ.event, occ.index)
+        rng = self._rng(occ)
         if event.procs:
             n = self.algorithm.network.n
             victims = [p for p in event.procs if 0 <= p < n]
         else:
-            victims = _pick_victims(
-                self.algorithm, rng, event.k, clustered=event.clustered
-            )
+            victims = pick_victims(self.algorithm.network, rng, event.k,
+                                   event.clustered)
         occ.victims = tuple(sorted(victims))
         allowed = self._allowed[occ.event]
         triples = []
@@ -330,9 +174,9 @@ class BoundFaultSchedule:
             for var in allowed:
                 triples.append((u, var, junk[var]))
         occ.assignments = tuple(triples)
-        occ.drawn = True
+        return occ
 
-    def info(self, occ: _Occurrence, step: int,
+    def info(self, occ: Occurrence, step: int,
              moves: int = 0, rounds: int = 0) -> FaultInfo:
         return FaultInfo(
             step=step,
@@ -343,6 +187,13 @@ class BoundFaultSchedule:
             moves=moves,
             rounds=rounds,
         )
+
+    def notify(self, probes, occ: Occurrence, step: int,
+               moves: int, rounds: int) -> None:
+        """Hand every probe this occurrence's :class:`FaultInfo`."""
+        info = self.info(occ, step, moves, rounds)
+        for probe in probes:
+            probe.on_fault(info)
 
 
 def resolve_variables(algorithm, variables: Sequence[str], scope: str) -> tuple[str, ...]:
@@ -375,115 +226,30 @@ def resolve_variables(algorithm, variables: Sequence[str], scope: str) -> tuple[
     return declared
 
 
-def _pick_victims(algorithm, rng: Random, k: int, clustered: bool) -> list[int]:
-    """Victim selection, mirroring :class:`repro.faults.injector.FaultPlan`."""
-    network = algorithm.network
-    k = min(k, network.n)
-    if not clustered:
-        return rng.sample(range(network.n), k)
-    seed = rng.randrange(network.n)
-    victims = [seed]
-    frontier = list(network.neighbors(seed))
-    seen = {seed}
-    while len(victims) < k and frontier:
-        idx = rng.randrange(len(frontier))
-        v = frontier.pop(idx)
-        if v in seen:
-            continue
-        seen.add(v)
-        victims.append(v)
-        frontier.extend(w for w in network.neighbors(v) if w not in seen)
-    return victims
-
-
 # ----------------------------------------------------------------------
-# The spec grammar (the CLI's --faults argument).
+# The spec grammar's payload half (the CLI's --faults argument).
 # ----------------------------------------------------------------------
-_EVENT_KEYS = ("at", "every", "storm", "burst")
-_INT_KEYS = ("k", "start", "until", "count", "gap", "cadence", "seed")
+def _payload_key(key: str, value: str, opts: dict, settings: dict) -> bool:
+    if key == "k":
+        opts["k"] = int(value)
+    elif key == "vars":
+        opts["vars"] = tuple(v for v in value.split("|") if v)
+    elif key == "scope":
+        opts["scope"] = value
+    else:
+        return False
+    return True
 
 
-def _parse_clause(clause: str) -> tuple[dict, int | None]:
-    """One ';'-separated clause → (option dict, optional schedule seed)."""
-    opts: dict = {}
-    seed = None
-    for item in clause.split(","):
-        item = item.strip()
-        if not item:
-            continue
-        if "=" not in item:
-            if item == "clustered":
-                opts["clustered"] = True
-                continue
-            raise ValueError(f"malformed fault spec item {item!r}")
-        key, _, value = item.partition("=")
-        key, value = key.strip(), value.strip()
-        if key == "seed":
-            seed = int(value)
-        elif key == "storm":
-            lo, sep, hi = value.partition("-")
-            if not sep:
-                raise ValueError(f"storm window must be A-B, got {value!r}")
-            opts["storm"] = (int(lo), int(hi))
-        elif key == "procs":
-            opts["procs"] = tuple(int(p) for p in value.split("|") if p != "")
-        elif key == "vars":
-            opts["vars"] = tuple(v for v in value.split("|") if v)
-        elif key == "scope":
-            opts["scope"] = value
-        elif key in _INT_KEYS or key in _EVENT_KEYS:
-            opts[key] = int(value)
-        else:
-            raise ValueError(f"unknown fault spec key {key!r}")
-    return opts, seed
-
-
-def _clause_event(opts: dict) -> FaultEvent:
-    kinds = [k for k in _EVENT_KEYS if k in opts]
-    if len(kinds) != 1:
-        raise ValueError(
-            f"each fault clause needs exactly one of {_EVENT_KEYS}, got {kinds}"
-        )
-    kind = kinds[0]
-    target = dict(
+def _make_event(timing: dict, opts: dict) -> FaultEvent:
+    return FaultEvent(
+        **timing,
         k=opts.pop("k", 1),
         procs=opts.pop("procs", ()),
         variables=opts.pop("vars", ()),
         scope=opts.pop("scope", ""),
         clustered=opts.pop("clustered", False),
     )
-    if kind == "at":
-        event = FaultEvent("at", start=opts.pop("at"), **target)
-    elif kind == "every":
-        gap = opts.pop("every")
-        start = opts.pop("start", gap)
-        count = opts.pop("count", None)
-        if "until" in opts:
-            until = opts.pop("until")
-            if until < start:
-                raise ValueError("every: until must be >= start")
-            count = (until - start) // gap + 1
-        event = FaultEvent("every", start=start, gap=gap, count=count, **target)
-    elif kind == "storm":
-        lo, hi = opts.pop("storm")
-        cadence = opts.pop("cadence", None)
-        if cadence is None:
-            raise ValueError("storm windows need cadence=K")
-        if hi < lo:
-            raise ValueError(f"storm window {lo}-{hi} is empty")
-        event = FaultEvent(
-            "storm", start=lo, gap=cadence, count=(hi - lo) // cadence + 1, **target
-        )
-    else:  # burst
-        start = opts.pop("burst")
-        count = opts.pop("count", None)
-        gap = opts.pop("gap", None)
-        if count is None or gap is None:
-            raise ValueError("bursts need count=N and gap=G")
-        event = FaultEvent("burst", start=start, gap=gap, count=count, **target)
-    if opts:
-        raise ValueError(f"fault spec options {sorted(opts)} don't apply to {kind!r}")
-    return event
 
 
 def parse_schedule(spec: str) -> FaultSchedule:
@@ -494,18 +260,5 @@ def parse_schedule(spec: str) -> FaultSchedule:
     """
     if isinstance(spec, FaultSchedule):
         return spec
-    if not isinstance(spec, str) or not spec.strip():
-        raise ValueError("empty fault spec")
-    events: list[FaultEvent] = []
-    seed: int | None = None
-    for clause in spec.split(";"):
-        if not clause.strip():
-            continue
-        opts, clause_seed = _parse_clause(clause)
-        if clause_seed is not None:
-            seed = clause_seed
-        if opts:
-            events.append(_clause_event(opts))
-    if not events:
-        raise ValueError(f"fault spec {spec!r} declares no events")
-    return FaultSchedule(events, seed=seed)
+    events, settings = parse_spec(spec, "fault", _payload_key, _make_event)
+    return FaultSchedule(events, seed=settings.get("seed"))

@@ -896,6 +896,43 @@ def experiment_a1(
 # ======================================================================
 # T11 — repeated fault storms vs recovery cost (beyond the paper)
 # ======================================================================
+def _clean_worst_rounds(summary) -> int | None:
+    """Worst rounds over occurrences with no disturbance mid-recovery."""
+    records = summary["records"]
+    worst = None
+    for i, rec in enumerate(records):
+        if not rec["recovered"]:
+            continue
+        end = rec["injected_step"] + rec["steps"]
+        if i + 1 < len(records) and records[i + 1]["injected_step"] < end:
+            continue  # the next occurrence struck before this one recovered
+        worst = rec["rounds"] if worst is None else max(worst, rec["rounds"])
+    return worst
+
+
+def _recovery_stats(records) -> tuple:
+    """One disturbance cell's per-trial recovery summaries, aggregated.
+
+    Returns ``(fired, recovered, worst rounds, clean worst rounds, mean
+    rounds, mean moves)`` — worsts over trials, means of trial means.
+    """
+    summaries = [r["result"]["extra"]["recovery"] for r in records]
+
+    def present(key):
+        return [s[key] for s in summaries if s[key] is not None]
+
+    clean = [w for w in map(_clean_worst_rounds, summaries) if w is not None]
+    mean = lambda xs: sum(xs) / len(xs) if xs else 0.0
+    return (
+        sum(s["bursts"] for s in summaries),
+        sum(s["recovered"] for s in summaries),
+        max(present("worst_rounds"), default=0),
+        max(clean, default=0),
+        mean(present("mean_rounds")),
+        mean(present("mean_moves")),
+    )
+
+
 def experiment_t11(
     n: int = 16,
     topology: str = "ring",
@@ -940,19 +977,6 @@ def experiment_t11(
          "worst rounds", "clean worst", "mean rounds", "mean moves",
          "bound", "ok"],
     )
-
-    def clean_worst_rounds(summary) -> int | None:
-        """Worst rounds over bursts with no injection mid-recovery."""
-        records = summary["records"]
-        worst = None
-        for i, rec in enumerate(records):
-            if not rec["recovered"]:
-                continue
-            end = rec["injected_step"] + rec["steps"]
-            if i + 1 < len(records) and records[i + 1]["injected_step"] < end:
-                continue  # the next burst struck before this one recovered
-            worst = rec["rounds"] if worst is None else max(worst, rec["rounds"])
-        return worst
     fig = Figure("T11 — worst recovery rounds vs fault count", "k", "rounds")
     ok = True
     data: dict[str, list] = {"cells": []}
@@ -972,22 +996,8 @@ def experiment_t11(
                     campaign, store=store, workers=workers,
                     resume=store is not None,
                 )
-                summaries = [
-                    r["result"]["extra"]["recovery"] for r in outcome.records
-                ]
-                fired = sum(s["bursts"] for s in summaries)
-                recovered = sum(s["recovered"] for s in summaries)
-                worst = [s["worst_rounds"] for s in summaries
-                         if s["worst_rounds"] is not None]
-                clean = [w for w in map(clean_worst_rounds, summaries)
-                         if w is not None]
-                means_r = [s["mean_rounds"] for s in summaries
-                           if s["mean_rounds"] is not None]
-                means_m = [s["mean_moves"] for s in summaries
-                           if s["mean_moves"] is not None]
-                worst_rounds = max(worst) if worst else 0
-                clean_worst = max(clean) if clean else 0
-                mean = lambda xs: sum(xs) / len(xs) if xs else 0.0
+                (fired, recovered, worst_rounds, clean_worst, mean_rounds,
+                 mean_moves) = _recovery_stats(outcome.records)
                 rb = round_bound[algorithm]
                 # Every burst absorbed (it may land on an already-terminal
                 # config and enable nothing — that still counts recovered)
@@ -995,9 +1005,8 @@ def experiment_t11(
                 row_ok = recovered == fired and clean_worst <= rb
                 ok &= row_ok
                 table.add_row(algorithm, k, cadence, fired, recovered,
-                              worst_rounds, clean_worst,
-                              f"{mean(means_r):.1f}",
-                              f"{mean(means_m):.1f}", rb, row_ok)
+                              worst_rounds, clean_worst, f"{mean_rounds:.1f}",
+                              f"{mean_moves:.1f}", rb, row_ok)
                 if cadence == cadences[0]:
                     fig.add_point(algorithm, k, clean_worst)
                 data["cells"].append({
@@ -1005,8 +1014,8 @@ def experiment_t11(
                     "faults": spec, "bursts": fired, "recovered": recovered,
                     "worst_rounds": worst_rounds,
                     "clean_worst_rounds": clean_worst,
-                    "mean_rounds": mean(means_r),
-                    "mean_moves": mean(means_m),
+                    "mean_rounds": mean_rounds,
+                    "mean_moves": mean_moves,
                 })
     return ExperimentResult(
         "T11",
@@ -1073,19 +1082,6 @@ def experiment_t12(
          "bound", "ok"],
     )
 
-    def clean_worst_rounds(summary) -> int | None:
-        """Worst rounds over occurrences with no churn mid-recovery."""
-        records = summary["records"]
-        worst = None
-        for i, rec in enumerate(records):
-            if not rec["recovered"]:
-                continue
-            end = rec["injected_step"] + rec["steps"]
-            if i + 1 < len(records) and records[i + 1]["injected_step"] < end:
-                continue  # the next occurrence struck mid-recovery
-            worst = rec["rounds"] if worst is None else max(worst, rec["rounds"])
-        return worst
-
     fig = Figure("T12 — worst clean recovery rounds vs churn cadence",
                  "cadence", "rounds")
     ok = True
@@ -1110,25 +1106,10 @@ def experiment_t12(
                     campaign, store=store, workers=workers,
                     resume=store is not None,
                 )
-                summaries = [
-                    r["result"]["extra"]["recovery"] for r in outcome.records
-                ]
-                finals = [
-                    r["result"]["extra"]["churn_final"]
-                    for r in outcome.records
-                ]
-                fired = sum(s["bursts"] for s in summaries)
-                recovered = sum(s["recovered"] for s in summaries)
-                worst = [s["worst_rounds"] for s in summaries
-                         if s["worst_rounds"] is not None]
-                clean = [w for w in map(clean_worst_rounds, summaries)
-                         if w is not None]
-                means_r = [s["mean_rounds"] for s in summaries
-                           if s["mean_rounds"] is not None]
-                worst_rounds = max(worst) if worst else 0
-                clean_worst = max(clean) if clean else 0
-                mean = lambda xs: sum(xs) / len(xs) if xs else 0.0
-                components = max(f["components"] for f in finals)
+                (fired, recovered, worst_rounds, clean_worst, mean_rounds,
+                 _) = _recovery_stats(outcome.records)
+                components = max(r["result"]["extra"]["churn_final"]["components"]
+                                 for r in outcome.records)
                 rb = round_bound[algorithm]
                 # Every occurrence absorbed, clean recovery within the
                 # static cold-start bound, and preserve-policy churn
@@ -1141,7 +1122,7 @@ def experiment_t12(
                 ok &= row_ok
                 table.add_row(algorithm, mix, cadence, fired, recovered,
                               worst_rounds, clean_worst,
-                              f"{mean(means_r):.1f}", components, rb, row_ok)
+                              f"{mean_rounds:.1f}", components, rb, row_ok)
                 if mix == mixes[0]:
                     fig.add_point(algorithm, cadence, clean_worst)
                 data["cells"].append({
@@ -1150,7 +1131,7 @@ def experiment_t12(
                     "recovered": recovered,
                     "worst_rounds": worst_rounds,
                     "clean_worst_rounds": clean_worst,
-                    "mean_rounds": mean(means_r),
+                    "mean_rounds": mean_rounds,
                     "components": components,
                 })
     return ExperimentResult(

@@ -222,19 +222,19 @@ def _serial_fault_trial(
     fused, and batched execution.  (Churn trials never batch — see
     :func:`can_batch` — so the batched path stays fault-only.)
     """
-    fault_sched = parse_schedule(faults) if faults is not None else None
-    churn_sched = parse_churn(churn) if churn is not None else None
-    bound = (
-        fault_sched.bind(algo, default_seed=seed)
-        if fault_sched is not None else None
-    )
-    churn_bound = (
-        churn_sched.bind(algo, default_seed=seed)
-        if churn_sched is not None else None
-    )
-    scheds = [s for s in (fault_sched, churn_sched) if s is not None]
-    finite = all(s.finite for s in scheds)
-    total = sum(s.total_occurrences for s in scheds) if finite else None
+    # One dict of schedules, keyed by their Simulator parameter names
+    # (which are also their ``Trial.extra`` keys).
+    scheds = {
+        name: parse(spec)
+        for name, spec, parse in (("faults", faults, parse_schedule),
+                                  ("churn", churn, parse_churn))
+        if spec is not None
+    }
+    bounds = {
+        name: sched.bind(algo, default_seed=seed) for name, sched in scheds.items()
+    }
+    finite = all(s.finite for s in scheds.values())
+    total = sum(s.total_occurrences for s in scheds.values()) if finite else None
     recovery, wave = _fault_probes(
         finite, total, mask_attr=mask_attr, predicate=predicate,
         terminal=terminal, probe=probe, waves=waves,
@@ -249,15 +249,13 @@ def _serial_fault_trial(
     topo = (network.n, network.m, network.diameter, network.max_degree)
     sim = Simulator(algo, _make_daemon(daemon, network), config=cfg, seed=seed,
                     backend=backend, fuse=probe != "decode",
-                    probes=probes, faults=bound, churn=churn_bound)
+                    probes=probes, **bounds)
     result = sim.run(max_steps=max_steps)
-    bounds = [b for b in (bound, churn_bound) if b is not None]
-    _require_recovered(finite, total, bounds, recovery, result)
+    _require_recovered(finite, total, bounds.values(), recovery, result)
     extra = dict(extra_fn(sim)) if extra_fn is not None else {}
-    if fault_sched is not None:
-        extra["faults"] = fault_sched.canonical()
+    extra.update((name, sched.canonical()) for name, sched in scheds.items())
+    churn_bound = bounds.get("churn")
     if churn_bound is not None:
-        extra["churn"] = churn_sched.canonical()
         dead = churn_bound.dead()
         extra["churn_final"] = {
             "fired": churn_bound.fired,
@@ -912,6 +910,15 @@ def run_trial_batch(
             probes=probes,
             faults=bounds,
         )
+        if fault_sched is not None:
+            # Serial runs close a burst that left the configuration
+            # terminal in ``RecoveryProbe.on_finish``; batched trials
+            # frozen terminal close it here.
+            for recovery, outcome in zip(recoveries, result.outcomes):
+                if outcome.stop_reason == "terminal":
+                    recovery.close_recovered(
+                        outcome.steps, outcome.rounds, outcome.moves
+                    )
 
         def fga_extra(t: int) -> dict:
             alliance = sdr.input.alliance(result.configuration(t))

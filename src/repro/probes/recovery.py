@@ -134,22 +134,7 @@ class RecoveryProbe(Probe):
     # Fault notifications (tier-agnostic)
     # ------------------------------------------------------------------
     def on_fault(self, info) -> None:
-        self._open.append(len(self.bursts))
-        self.bursts.append(
-            {
-                "burst": info.burst,
-                "injected_step": info.step,
-                "nominal_step": info.nominal_step,
-                "victims": list(info.victims),
-                "variables": list(info.variables),
-                "at_moves": info.moves,
-                "at_rounds": info.rounds,
-                "steps": None,
-                "rounds": None,
-                "moves": None,
-                "recovered": False,
-            }
-        )
+        self._arm(info, variables=list(info.variables))
 
     def on_churn(self, info) -> None:
         """Arm a recovery stopwatch for one topology-churn occurrence.
@@ -165,18 +150,25 @@ class RecoveryProbe(Probe):
             self._dead.update(info.victims)
         elif info.action == "join":
             self._dead.difference_update(info.victims)
+        self._arm(
+            info,
+            action=info.action,
+            dropped=[list(e) for e in info.dropped],
+            added=[list(e) for e in info.added],
+            components=info.components,
+            live=info.live,
+        )
+
+    def _arm(self, info, **payload) -> None:
+        """Open a stopwatch for one occurrence; ``payload`` describes it."""
         self._open.append(len(self.bursts))
         self.bursts.append(
             {
                 "burst": info.burst,
-                "action": info.action,
                 "injected_step": info.step,
                 "nominal_step": info.nominal_step,
                 "victims": list(info.victims),
-                "dropped": [list(e) for e in info.dropped],
-                "added": [list(e) for e in info.added],
-                "components": info.components,
-                "live": info.live,
+                **payload,
                 "at_moves": info.moves,
                 "at_rounds": info.rounds,
                 "steps": None,
@@ -243,6 +235,15 @@ class RecoveryProbe(Probe):
         self._observe(
             self._holds(sim), sim.step_count, sim.rounds.completed, sim.move_count
         )
+
+    def close_recovered(self, steps: int, rounds: int, moves: int) -> None:
+        """Close every open stopwatch at these accounting totals.
+
+        The :meth:`on_finish` twin for drivers that know the final
+        configuration recovered but hold no simulator — a batched
+        trial of a silent composition frozen terminal.
+        """
+        self._observe(True, steps, rounds, moves)
 
     # ------------------------------------------------------------------
     # Vector tier

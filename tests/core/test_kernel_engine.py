@@ -130,7 +130,7 @@ class TestKernelRuntime:
 class TestStepMemoLifetime:
     """The step memo lives exactly as long as the guard masks.
 
-    After ``inject``/``restore``/``apply_churn`` the next ``apply`` must
+    After ``inject``/``restore``/``apply_occurrence`` the next ``apply`` must
     read the new configuration (and adjacency), never reductions or
     hoisted edge arrays of the old one: it must match a fresh runtime on
     a fresh program in the same situation.  The actions copy reduction
@@ -188,7 +188,7 @@ class TestStepMemoLifetime:
         runtime.restore(snap)
         self.assert_step_matches_fresh(runtime, self.program(net))
 
-    def test_apply_churn_then_apply(self):
+    def test_apply_occurrence_then_apply(self):
         from types import SimpleNamespace
 
         net = by_name("random", 24, seed=3)
@@ -199,7 +199,7 @@ class TestStepMemoLifetime:
         drops = edges[::3]
         adds = [(u, v) for u in range(net.n) for v in range(u + 1, net.n)
                 if (u, v) not in present][::7]
-        runtime.apply_churn(SimpleNamespace(
+        runtime.apply_occurrence(SimpleNamespace(
             drops=tuple(drops), adds=tuple(adds), victims=(), action="",
             assignments=(),
         ))

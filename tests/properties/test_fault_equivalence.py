@@ -128,3 +128,26 @@ def test_faulted_cells_batch_identically(algorithm, daemon, spec):
             recovery = got["result"]["extra"]["recovery"]
             assert recovery["bursts"] == 3
             assert recovery["recovered"] == 3
+
+
+#: Far-future bursts on a silent composition: every burst is pulled
+#: forward to a terminal configuration, and corrupting only ``canQ``
+#: often wakes nobody, so the run must keep pulling until the finite
+#: schedule runs out — batched exactly as serial.
+PULL_FAULTS = "burst=5000,count=4,gap=1,k=1,vars=canQ"
+
+
+def test_batched_pull_forward_that_wakes_nobody_matches_serial():
+    campaign = Campaign(
+        "pull", seed=0, algorithms=("fga",), topologies=("ring",),
+        sizes=(8,), scenarios=("random",), daemons=("central",), trials=3,
+        params=(("faults", PULL_FAULTS),),
+    )
+    cell = list(campaign.specs())
+    assert can_batch(cell[0])
+    serial = [execute_trial(s, campaign.seed, campaign.name) for s in cell]
+    batched = execute_batch(cell, campaign.seed, campaign.name)
+    assert len(batched) == len(serial) == 3
+    for expected, got in zip(serial, batched):
+        assert record_bytes(expected) == record_bytes(got), expected["key"]
+        assert got["result"]["extra"]["recovery"]["bursts"] == 4
