@@ -33,6 +33,13 @@ emits ``BENCH_core.json`` at the repo root:
   liveness column to the loop; the same 2% budget applies and
   ``--check`` bounds ``churn_vs_fused``.
 
+A second table scales the *central* daemon — one move per step — over
+U∘SDR rings of n = 256, 4096 and 65536, timing ``fused`` only and
+reporting µs/step and steps/s under ``central_scaling``.  There the
+compiled segments' activity-scoped stepping (re-evaluating only the
+movers' read-radius ball) is what keeps a step's cost flat in n.  The
+table is reported, not gated.
+
 All seven produce identical executions (equal seeds ⇒ equal traces); the
 report records steps/sec, moves/sec, per-size wall time, and the pairwise
 speedups.  The tracked baseline keeps the perf trajectory honest; CI runs
@@ -69,6 +76,10 @@ from repro.unison import Unison  # noqa: E402
 
 #: The workload: F1/F2's algorithm and topology family.
 DAEMONS = ("distributed-random", "synchronous")
+
+#: Ring sizes of the central-daemon scaling table, and steps per run.
+CENTRAL_SIZES = (256, 4096, 65536)
+CENTRAL_STEPS = 20000
 
 #: Timed configurations:
 #: ``(label, Simulator kwargs, attach probe, enable telemetry)``.
@@ -162,6 +173,42 @@ def time_cell(
         for label in best
     }
     return rows, phase_snapshot
+
+
+def time_central(n: int, steps: int, seed: int, repeats: int) -> dict:
+    """Best-of-``repeats`` fused run of the central daemon on an n-ring."""
+    network = ring(n)
+    sdr = SDR(Unison(network))
+    cfg = sdr.random_configuration(Random(seed))
+    best = result = None
+    for _ in range(repeats):
+        sim = Simulator(sdr, make_daemon("central", network),
+                        config=cfg.copy(), seed=seed, backend="kernel")
+        t0 = time.perf_counter()
+        run = sim.run(max_steps=steps)
+        elapsed = time.perf_counter() - t0
+        if best is None or elapsed < best:
+            best, result = elapsed, run
+    return {
+        "n": n,
+        "daemon": "central",
+        "backend": "fused",
+        "steps": result.steps,
+        "wall_s": round(best, 6),
+        "us_per_step": round(best / result.steps * 1e6, 3),
+        "steps_per_s": round(result.steps / best, 1),
+    }
+
+
+def run_central(seed: int, repeats: int) -> list:
+    rows = []
+    for n in CENTRAL_SIZES:
+        row = time_central(n, CENTRAL_STEPS, seed, repeats)
+        rows.append(row)
+        print(f"  n={n:6d} central             fused           "
+              f"{row['steps_per_s']:12,.0f} steps/s "
+              f"{row['us_per_step']:10.2f} us/step")
+    return rows
 
 
 def run_benchmark(sizes: list[int], steps: int, seed: int, repeats: int) -> dict:
@@ -272,6 +319,8 @@ def main(argv: list[str] | None = None) -> int:
 
     sizes = [int(tok) for tok in args.sizes.split(",") if tok.strip()]
     report = run_benchmark(sizes, args.steps, args.seed, args.repeats)
+    print("central-daemon scaling (fused, reported, not gated):")
+    report["central_scaling"] = run_central(args.seed, args.repeats)
 
     if args.out:
         out = pathlib.Path(args.out)

@@ -1,12 +1,16 @@
 """Struct-of-arrays execution runtime driven by the simulator.
 
 :class:`KernelRuntime` owns the flat per-variable columns of one
-execution and advances them step by step: guard masks are recomputed
-vectorized after every step (full recomputation is cheap in array form —
-no incremental bookkeeping needed), and actions mutate a double buffer
-(write columns rebased from the read columns, then swapped) so every
-activated process reads the same frozen pre-step configuration —
-composite atomicity by construction.
+execution and advances them step by step.  The numpy path recomputes
+every guard mask vectorized after every step — about 75 array
+dispatches per step whatever ``n`` is — and actions mutate a double
+buffer (write columns rebased from the read columns, then swapped) so
+every activated process reads the same frozen pre-step configuration:
+composite atomicity by construction.  When the run qualifies,
+:meth:`KernelRuntime.run` instead hands whole stretches of steps to the
+compiled driver of :mod:`repro.core.kernel.segment`, which keeps the
+enabled set, round debts and the watched predicate incrementally and
+re-evaluates only the processes a move can wake.
 
 The runtime speaks the simulator's language at the boundary: it produces
 the enabled map as a ``{process: (rules…)}`` dict in ascending process
@@ -491,6 +495,13 @@ class KernelRuntime:
         configurations); a finite schedule keeps being pulled until it
         runs out or a process wakes, and the run ends terminal only once
         no schedule can disturb it again.
+
+        When :meth:`Segment.open <repro.core.kernel.segment.Segment.open>`
+        accepts the run, stretches of steps run in the compiled driver
+        instead, each ending at the budget, the next due disturbance, a
+        terminal configuration, the watched predicate's first hold, a
+        probe's ``run_past`` suffix, or an exclusion violation; the loop
+        below then handles the boundary exactly as after a numpy step.
         """
         program, rules = self.program, self.rules
         nrules = len(rules)
@@ -559,11 +570,10 @@ class KernelRuntime:
                 stop = probe.done() or stop
             return stop
 
-        stream = (
-            open_stream(rng, scalar=daemon.scalar_stream)
-            if daemon.uses_rng
-            else None
-        )
+        # Opened on the first numpy step: compiled segments draw from
+        # ``rng`` themselves, and none runs after a numpy step (that
+        # needs a liveness column, which never goes away).
+        stream = None
         # Read→write column copies for both buffer parities, precomputed
         # so the per-step copy loop touches no dicts.
         column_pairs = (
@@ -616,6 +626,10 @@ class KernelRuntime:
                 (faults, churn), disturb, lambda: not enabled_mask.any()
             )
             next_due = disturbances.next_due
+            from .segment import EVENT, Segment
+
+            segment = Segment.open(self, daemon, rng, until, rounds, probes,
+                                   check_exclusion, acc)
             while True:
                 if steps0 + steps >= next_due:
                     disturbances.fire_due(steps0 + steps)
@@ -630,6 +644,38 @@ class KernelRuntime:
                 if steps >= max_steps:
                     stop_reason = "budget"
                     break
+                if segment is not None and self.live is None:
+                    # A compiled stretch, up to the budget or the next due
+                    # disturbance.
+                    code = segment.step(
+                        min(max_steps - steps, next_due - (steps0 + steps)),
+                        steps, stats,
+                    )
+                    steps += segment.seg.steps
+                    moves += segment.seg.moves
+                    for k, count in enumerate(segment.rule_moves.tolist()):
+                        moves_per_rule[k] += count
+                    self._masks = self._memo = None
+                    self._prev_valid = False
+                    # Raises the ModelViolation after an EXCLUSION stop.
+                    enabled_mask = compute_enabled()
+                    if code == EVENT:
+                        # The last step is the numpy loop's to observe.
+                        chosen, chosen_kinds = segment.last_step()
+                        if probes and observe("step", chosen, enabled_mask,
+                                              chosen_kinds):
+                            stop_reason = "probe"
+                            break
+                        if until is not None and reached():
+                            stop_reason = "predicate"
+                            hit = True
+                            break
+                    elif probes and any(probe.done() for probe in probes):
+                        stop_reason = "probe"
+                        break
+                    continue
+                if stream is None and daemon.uses_rng:
+                    stream = open_stream(rng, scalar=daemon.scalar_stream)
                 sampling = tel and (steps & smask) == 0
                 if sampling:
                     t_mark = telemetry.timer()

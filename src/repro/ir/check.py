@@ -19,6 +19,12 @@ For every registered algorithm (:mod:`repro.ir.registry`) the lint
 * for input rule sets, checks the ``icorrect``/``reset`` predicates
   (both compilations, the kernel one with and without the guard pass's
   memo) against ``p_icorrect``/``p_reset``;
+* the C lowering (:mod:`repro.ir.cc`, :func:`check_c_tier`): compiled
+  guards and predicates at every process, and compiled actions at each
+  rule's enabled processes, against the numpy kernel on the same
+  configurations — the first mismatch names the rule set, rule,
+  process and variable.  Without a C compiler this part prints one
+  ``C tier: skipped (no compiler)`` line and does not fail;
 * domain soundness: every value ``algorithm.random_state`` can draw must
   encode within its schema column's declared dtype and the tiled batch
   layout (:func:`check_domains`) — the fault injector corrupts registers
@@ -38,7 +44,8 @@ from random import Random
 from .registry import registered_algorithms
 from .rules import InputRuleSet
 
-__all__ = ["check_algorithm", "check_domains", "run_check", "main"]
+__all__ = ["check_algorithm", "check_c_tier", "check_domains", "run_check",
+           "main"]
 
 #: Random configurations probed per algorithm (plus the initial one).
 _SEEDS = (0, 1, 2)
@@ -194,6 +201,73 @@ def _check_kernel_actions(where: str, rule_set, dict_program, kernel_program,
     return problems
 
 
+def check_c_tier(label: str, algorithm) -> list[str]:
+    """The C lowering against the numpy kernel, value for value.
+
+    On every sampled configuration: each rule's compiled guard and each
+    declared predicate at every process, then each rule's compiled
+    action at the processes where the kernel enables it, register by
+    register against the kernel's ``apply``.  Stops at the first
+    mismatch.
+    """
+    import numpy as np
+
+    from ..core.kernel.segment import Rows
+    from .cc import NotLowerable
+
+    rule_set = algorithm.rule_set()
+    if rule_set is None:
+        return []
+    try:
+        code = rule_set.c_code()
+    except NotLowerable as exc:
+        return [f"{label}: C tier: does not lower: {exc}"]
+    program = rule_set.compile_kernel()
+    names = [var.name for var in program.schema.vars]
+    for c, cfg in enumerate(_configurations(algorithm)):
+        where = f"{label} (cfg {c})"
+        cols = program.schema.encode(cfg)
+        rows = Rows.open(program, cols)
+        if rows is None:
+            return [f"{label}: C tier: the object did not build or load"]
+        memo: dict = {}
+        masks = program.guard_masks(cols, memo=memo)
+        preds = {
+            name: getattr(program, f"{name}_mask")(cols, memo)
+            for name in code.predicates
+        }
+        # The C evaluates the general guards only; where numpy takes a
+        # FastPath, this also checks the path's contract.
+        for u in range(len(cfg)):
+            bits, _ = rows.guards(u)
+            for k, rule in enumerate(rule_set.rule_labels):
+                mask = masks.get(rule)
+                want = bool(mask[u]) if mask is not None else False
+                if bool(bits >> k & 1) != want:
+                    return [f"{where}: C guard {rule!r} at {u}: "
+                            f"C={not want} numpy={want}"]
+            for name, values in preds.items():
+                _, got = rows.guards(u, name)
+                if got != bool(values[u]):
+                    return [f"{where}: C predicate {name!r} at {u}: "
+                            f"C={got} numpy={bool(values[u])}"]
+        for k, rule in enumerate(rule_set.rule_labels):
+            mask = masks.get(rule)
+            if mask is None or not mask.any():
+                continue
+            idx = np.flatnonzero(mask)
+            write = {name: col.copy() for name, col in cols.items()}
+            program.apply(rule, idx, cols, write, memo)
+            for u in idx.tolist():
+                got = rows.action(u, k)
+                for name, value in zip(names, got):
+                    want = int(write[name][u])
+                    if value != want:
+                        return [f"{where}: C action {rule!r} at {u}, "
+                                f"variable {name!r}: C={value} numpy={want}"]
+    return []
+
+
 def check_domains(label: str, algorithm) -> list[str]:
     """Domain-soundness findings: ``random_state`` draws vs the schema.
 
@@ -271,11 +345,18 @@ def check_domains(label: str, algorithm) -> list[str]:
 
 def run_check(out=print) -> int:
     """Lint every registered rule set; return a process exit status."""
+    from .ccbuild import find_compiler
+
+    c_tier = find_compiler() is not None
+    if not c_tier:
+        out("C tier: skipped (no compiler)")
     failures = 0
     for label, factory in registered_algorithms():
         algorithm = factory()
         problems = check_algorithm(label, algorithm)
         problems += check_domains(label, algorithm)
+        if c_tier and not problems:
+            problems += check_c_tier(label, algorithm)
         if problems:
             failures += 1
             for problem in problems:

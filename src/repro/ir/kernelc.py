@@ -518,8 +518,7 @@ _CODE_CACHE: dict[tuple, _KernelCode] = {}
 
 def compile_rule_set(rule_set) -> _KernelCode:
     """The numpy functions for one rule set, generated once per form."""
-    struct = _Structure()
-    key = struct.walk(rule_set)
+    struct, key = rule_set.structure()
     params = tuple(struct.params)
     code = _CODE_CACHE.get(key)
     if code is None:
@@ -623,6 +622,7 @@ class IRKernelProgram(KernelProgram):
         self._arange = None
         self._edge_true = None
         self._invariants = None
+        self._c_binding = None
 
     # -- generated-code services ---------------------------------------
     @property
@@ -643,6 +643,21 @@ class IRKernelProgram(KernelProgram):
         if self._invariants is None:
             self._invariants = self._code.invariants_fn(self)
         return self._invariants
+
+    def c_binding(self):
+        """This program's runtime constants and parameters for the C
+        lowering (:func:`repro.ir.cc.bind`), computed once; raises
+        :class:`repro.ir.cc.NotLowerable` when there is none."""
+        if self._c_binding is None:
+            from .cc import NotLowerable, bind
+
+            try:
+                self._c_binding = bind(self)
+            except NotLowerable as exc:
+                self._c_binding = exc
+        if isinstance(self._c_binding, Exception):
+            raise self._c_binding
+        return self._c_binding
 
     # -- KernelProgram contract ----------------------------------------
     def guard_masks(self, cols, memo=None):

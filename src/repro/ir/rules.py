@@ -121,6 +121,8 @@ class RuleSet:
         #: keys that would overflow int64 at T·n processes).
         self.tile_check = tile_check
         self._kernel_code = None
+        self._c_code = None
+        self._structure = None
 
     # ------------------------------------------------------------------
     def compile_dict(self):
@@ -148,6 +150,33 @@ class RuleSet:
 
             self._kernel_code = compile_rule_set(self)
         return self._kernel_code
+
+    def structure(self):
+        """``(numbering, key)``: the structural value numbering both
+        generated-code compilers lower from
+        (:class:`repro.ir.kernelc._Structure`) and its code-memo key,
+        computed once per rule set."""
+        if self._structure is None:
+            from .kernelc import _Structure
+
+            struct = _Structure()
+            self._structure = (struct, struct.walk(self))
+        return self._structure
+
+    def c_code(self):
+        """The generated C translation unit (:func:`repro.ir.cc.lower`),
+        cached; raises :class:`repro.ir.cc.NotLowerable` when the rule
+        set has no exact C lowering."""
+        if self._c_code is None:
+            from .cc import NotLowerable, lower
+
+            try:
+                self._c_code = lower(self)
+            except NotLowerable as exc:
+                self._c_code = exc
+        if isinstance(self._c_code, Exception):
+            raise self._c_code
+        return self._c_code
 
     def __repr__(self):
         return f"RuleSet({self.name!r}, rules={list(self.rule_labels)})"

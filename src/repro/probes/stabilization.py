@@ -212,6 +212,24 @@ class StabilizationProbe(Probe):
         self._observe(holds, view.steps, view.rounds, view.moves)
 
     # ------------------------------------------------------------------
+    # Compiled segments (repro.core.kernel.segment)
+    # ------------------------------------------------------------------
+    def observe_suffix(self, steps: int, violations: int) -> None:
+        """Account ``steps`` observed steps after the hit, ``violations``
+        of them not satisfying the notion — what that many ``on_columns``
+        calls would have recorded.  The compiled segment driver counts
+        them itself and reports in bulk."""
+        self.violations_after_hit += violations
+        self._past += steps
+
+    def suffix_left(self) -> int | None:
+        """Steps after which :meth:`done` turns true, counted from now
+        (``None`` when it never requests a stop on its own account)."""
+        if not (self.stop and self.hit):
+            return None
+        return self.run_past - self._past
+
+    # ------------------------------------------------------------------
     def done(self) -> bool:
         return self.stop and self.hit and self._past >= self.run_past
 

@@ -15,6 +15,10 @@ never an exception):
 ``schema``            manifest schema version (1)
 ``created_at``        ISO-8601 UTC creation time
 ``git``               ``{"sha": ..., "dirty": bool, "branch": ...}``
+``src_sha256``        SHA-256 of the source tree that ran (:func:`src_sha256`)
+``compiled_tier``     the C tier this process used: the compiler's version
+                      line and whether each object was a cache ``hit`` or
+                      a ``build`` (:func:`repro.ir.ccbuild.provenance`)
 ``versions``          python + repro + numpy (and scipy when present)
 ``numpy_config``      blas/lapack linkage summary from numpy
 ``host``              platform string, machine, cpu count, hostname
@@ -45,6 +49,7 @@ __all__ = [
     "build_manifest",
     "git_info",
     "grid_hash",
+    "src_sha256",
     "manifest_path_for",
     "read_manifest",
     "write_manifest",
@@ -104,6 +109,37 @@ def git_info(cwd: str | os.PathLike | None = None) -> dict | None:
         "dirty": bool(status) if status is not None else None,
         "branch": git("rev-parse", "--abbrev-ref", "HEAD"),
     }
+
+
+def src_sha256() -> str | None:
+    """SHA-256 of the ``repro`` source tree this process imported.
+
+    The recipe of ``perfbench/run.py``: every file under ``src/`` (the
+    package directory itself when installed elsewhere), in sorted path
+    order, ``__pycache__`` skipped, each hashed as its path relative to
+    the checkout root, a NUL byte, then its bytes.  So a manifest pins
+    the exact code that produced its rows, committed or not.
+    """
+    package = Path(__file__).resolve().parents[1]
+    top = package.parent if package.parent.name == "src" else package
+    root = top.parent
+    digest = hashlib.sha256()
+    try:
+        for path in sorted(top.rglob("*")):
+            if path.is_file() and "__pycache__" not in path.parts:
+                digest.update(str(path.relative_to(root)).encode() + b"\0")
+                digest.update(path.read_bytes())
+    except OSError:
+        return None
+    return digest.hexdigest()
+
+
+def _compiled_tier() -> dict | None:
+    try:
+        from ..ir.ccbuild import provenance
+    except ImportError:  # pragma: no cover - the tier is part of repro.ir
+        return None
+    return provenance()
 
 
 def _versions() -> dict:
@@ -175,6 +211,8 @@ def build_manifest(
         "created_at": datetime.datetime.now(datetime.timezone.utc)
         .isoformat(timespec="seconds"),
         "git": git_info(cwd),
+        "src_sha256": src_sha256(),
+        "compiled_tier": _compiled_tier(),
         "versions": _versions(),
         "numpy_config": _numpy_config(),
         "host": _host(),

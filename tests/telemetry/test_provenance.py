@@ -1,5 +1,6 @@
 """Provenance manifests: identity capture, sidecar round-trip, grid hashing."""
 
+import hashlib
 import json
 import pathlib
 import re
@@ -74,6 +75,20 @@ class TestBuildManifest:
         assert manifest["phase_stats"]["stride"] == 16
         assert manifest["extra"]["benchmark"] == "bench"
         assert manifest["campaign"] is None
+
+    def test_src_sha256_follows_the_perfbench_recipe(self):
+        digest = hashlib.sha256()
+        for path in sorted((REPO_ROOT / "src").rglob("*")):
+            if path.is_file() and "__pycache__" not in path.parts:
+                digest.update(str(path.relative_to(REPO_ROOT)).encode() + b"\0")
+                digest.update(path.read_bytes())
+        manifest = build_manifest(cwd=REPO_ROOT)
+        assert manifest["src_sha256"] == digest.hexdigest()
+
+    def test_compiled_tier_is_recorded(self):
+        tier = build_manifest(cwd=REPO_ROOT)["compiled_tier"]
+        assert set(tier) == {"compiler", "objects", "cache", "refused"}
+        assert set(tier["cache"]) <= {"hit", "build"}
 
     def test_manifest_is_json_safe(self):
         manifest = build_manifest(campaign=CAMPAIGN, cwd=REPO_ROOT)
