@@ -24,10 +24,9 @@ move behavior the benchmarks measure.
 
 from __future__ import annotations
 
-from random import Random
 from typing import Any
 
-from ..core.algorithm import Algorithm
+from ..core.algorithm import Algorithm, Domain
 from ..core.configuration import Configuration
 from ..core.graph import Network
 
@@ -107,8 +106,8 @@ class TurauMIS(Algorithm):
     def initial_state(self, u: int) -> dict[str, Any]:
         return {MSTATE: OUT}
 
-    def random_state(self, u: int, rng: Random) -> dict[str, Any]:
-        return {MSTATE: (OUT, WAIT, IN)[rng.randrange(3)]}
+    def domains(self):
+        return (Domain.enum(MSTATE, (OUT, WAIT, IN)),)
 
     def rule_set(self):
         """IR definition (see :mod:`repro.alliance.kernelized`)."""

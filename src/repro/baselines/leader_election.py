@@ -28,12 +28,11 @@ stack a faithful Arora–Gouda deployment needs.
 
 from __future__ import annotations
 
-from random import Random
 from typing import Any
 
 import networkx as nx
 
-from ..core.algorithm import Algorithm
+from ..core.algorithm import Algorithm, Domain
 from ..core.configuration import Configuration
 from ..core.graph import Network
 
@@ -95,13 +94,11 @@ class LeaderElection(Algorithm):
     def initial_state(self, u: int) -> dict[str, Any]:
         return {LID: self.network.id_of(u), LDIST: 0}
 
-    def random_state(self, u: int, rng: Random) -> dict[str, Any]:
+    def domains(self):
         # Corrupted lid may exceed every real identifier (a fake leader).
         fake_ceiling = max(self.network.ids) + self.network.n
-        return {
-            LID: rng.randrange(fake_ceiling + 1),
-            LDIST: rng.randrange(self.network.n),
-        }
+        return (Domain(LID, 0, fake_ceiling + 1),
+                Domain(LDIST, 0, self.network.n))
 
     # ------------------------------------------------------------------
     def rule_set(self):

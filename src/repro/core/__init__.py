@@ -5,7 +5,7 @@ networks, configurations, guarded-rule algorithms, daemons, atomic steps,
 and move/round accounting.  Everything else in :mod:`repro` builds on it.
 """
 
-from .algorithm import Algorithm
+from .algorithm import Algorithm, Domain
 from .composition import Composition
 from .configuration import Configuration
 from .daemon import (
@@ -50,6 +50,7 @@ __all__ = [
     "Composition",
     "Configuration",
     "Daemon",
+    "Domain",
     "SynchronousDaemon",
     "CentralDaemon",
     "LocallyCentralDaemon",

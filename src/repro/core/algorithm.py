@@ -21,14 +21,49 @@ Conventions
 from __future__ import annotations
 
 import abc
+import functools
 from random import Random
-from typing import Any, Mapping
+from typing import Any, Mapping, NamedTuple
 
 from .configuration import Configuration
 from .exceptions import AlgorithmError
 from .graph import Network
 
-__all__ = ["Algorithm"]
+__all__ = ["Algorithm", "Domain", "draw_state"]
+
+
+class Domain(NamedTuple):
+    """One variable's arbitrary-state domain.
+
+    A draw is ``rng.randrange(lo, hi)``; the state value is that code,
+    or ``values[code]`` for an enumeration (:meth:`enum`).
+    :func:`draw_state` draws one process's state from a sequence of
+    them; the kernel backend draws whole columns from the same
+    declarations (:meth:`repro.core.kernel.schema.Schema.draw`),
+    consuming the ``Random`` exactly as :func:`draw_state` does.
+    """
+
+    var: str
+    lo: int
+    hi: int
+    values: tuple | None = None
+
+    @classmethod
+    def enum(cls, var: str, values) -> "Domain":
+        """Uniform over ``values`` (drawn as an index into them)."""
+        values = tuple(values)
+        return cls(var, 0, len(values), values)
+
+
+def draw_state(domains, rng: Random) -> dict[str, Any]:
+    """One process's arbitrary state: one draw per domain, in order."""
+    randrange = rng.randrange
+    state = {}
+    for var, lo, hi, values in domains:
+        # randrange(hi) draws exactly as randrange(0, hi), only faster.
+        code = randrange(hi) if lo == 0 else randrange(lo, hi)
+        state[var] = code if values is None else values[code]
+    return state
 
 
 class Algorithm(abc.ABC):
@@ -41,9 +76,12 @@ class Algorithm(abc.ABC):
     * :meth:`rule_names` — labels of the rules, in a fixed order;
     * :meth:`guard` / :meth:`execute` — rule semantics;
     * :meth:`initial_state` — the pre-defined initial state ``γ_init``;
-    * :meth:`random_state` — an arbitrary state drawn from the variable
-      domains (used to build the "arbitrary initial configuration" that
-      self-stabilization quantifies over, and by fault injection).
+    * :meth:`domains` *or* :meth:`random_state` — an arbitrary state
+      drawn from the variable domains (used to build the "arbitrary
+      initial configuration" that self-stabilization quantifies over,
+      and by fault injection).  Declaring :meth:`domains` derives
+      :meth:`random_state` and lets the kernel backend draw initial
+      configurations as columns.
     """
 
     #: Human-readable name, overridden by subclasses.
@@ -95,9 +133,31 @@ class Algorithm(abc.ABC):
     def initial_state(self, u: int) -> dict[str, Any]:
         """The pre-defined initial state of process ``u`` (``γ_init``)."""
 
-    @abc.abstractmethod
+    def domains(self) -> tuple[Domain, ...] | None:
+        """Every variable's arbitrary-state domain, in draw order.
+
+        A process's arbitrary state is one draw per domain, in this
+        order.  ``None`` (the default) means :meth:`random_state` draws
+        some other way (coin flips, neighbor picks, conditional values)
+        and must be overridden.
+        """
+        return None
+
+    @functools.cached_property
+    def declared_domains(self) -> tuple[Domain, ...] | None:
+        """:meth:`domains`, computed once per instance (the network and
+        the parameters the domains depend on are fixed at construction)."""
+        return self.domains()
+
     def random_state(self, u: int, rng: Random) -> dict[str, Any]:
-        """An arbitrary state of ``u``, uniform-ish over variable domains."""
+        """An arbitrary state of ``u``: one draw per declared domain."""
+        domains = self.declared_domains
+        if domains is None:
+            raise NotImplementedError(
+                f"{type(self).__name__} declares no domains(); override "
+                "random_state"
+            )
+        return draw_state(domains, rng)
 
     def rule_set(self):
         """Declarative IR definition of this algorithm, or ``None``.
@@ -120,8 +180,7 @@ class Algorithm(abc.ABC):
         and actions operate on flat per-variable columns; the simulator
         then offers ``backend="kernel"`` (and ``backend="auto"`` prefers
         it).  ``None`` means no rule set (or numpy missing): dict backend
-        only.  Overriding this with a handwritten program still works but
-        is deprecated — the simulator warns once per algorithm.
+        only.
         """
         rs = self.rule_set()
         return None if rs is None else rs.compile_kernel()

@@ -87,6 +87,13 @@ class Composition(Algorithm):
             state.update(comp.initial_state(u))
         return state
 
+    def domains(self):
+        """The components' domains in order, when every one declares them."""
+        parts = [comp.domains() for comp in self.components]
+        if any(part is None for part in parts):
+            return None
+        return tuple(d for part in parts for d in part)
+
     def random_state(self, u: int, rng: Random) -> dict[str, Any]:
         state: dict[str, Any] = {}
         for comp in self.components:

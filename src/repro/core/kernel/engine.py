@@ -209,14 +209,19 @@ class KernelRuntime:
         "_prev_map",
     )
 
-    def __init__(self, program: KernelProgram, cfg: Configuration):
+    def __init__(self, program: KernelProgram, cfg: Configuration | None = None,
+                 columns: dict[str, np.ndarray] | None = None):
+        """Start from ``cfg``, or from ``columns`` already encoded for
+        ``program`` (taken over, not copied)."""
         self.program = program
         self.rules = program.rules
-        self.read: dict[str, np.ndarray] = program.schema.encode(cfg)
+        self.read: dict[str, np.ndarray] = (
+            columns if columns is not None else program.schema.encode(cfg)
+        )
         self.write: dict[str, np.ndarray] = {
             name: col.copy() for name, col in self.read.items()
         }
-        n = len(cfg)
+        n = len(cfg) if cfg is not None else len(next(iter(self.read.values())))
         #: Liveness column — ``None`` until topology churn crashes a
         #: process (the common no-churn case pays nothing), then a bool
         #: vector ANDed into every guard mask: a crashed process is never
@@ -238,6 +243,11 @@ class KernelRuntime:
         #: Max number of simultaneously enabled rules at one process in the
         #: last computed enabled set (the simulator's exclusion check).
         self.max_enabled_rules = 0
+
+    @property
+    def n(self) -> int:
+        """Number of processes."""
+        return self._rule_idx.shape[0]
 
     # ------------------------------------------------------------------
     # Enabled set

@@ -12,7 +12,8 @@ scalars).
 
 from __future__ import annotations
 
-from typing import Any, Iterable, Mapping
+from random import Random
+from typing import Any, Iterable, Mapping, Sequence
 
 import numpy as np
 
@@ -156,6 +157,36 @@ class Schema:
         return Configuration(
             [{name: decoded[name][u] for name in names} for u in range(n)]
         )
+
+    def draw(self, domains: Sequence, n: int, rng: Random) -> dict[str, np.ndarray]:
+        """``n`` processes' arbitrary states, drawn straight into columns.
+
+        ``domains`` are the algorithm's
+        :class:`~repro.core.algorithm.Domain` declarations, one per schema
+        variable: the columns equal ``encode(Configuration.build(n, lambda
+        u: draw_state(domains, rng)))`` (see
+        :func:`~repro.core.algorithm.draw_state`) and ``rng`` ends in the
+        same state, without building a state dict per process.
+        """
+        if sorted(d.var for d in domains) != sorted(self.names):
+            raise AlgorithmError(
+                f"domains {[d.var for d in domains]} do not cover the "
+                f"schema {list(self.names)}"
+            )
+        randrange = rng.randrange
+        codes = [randrange(d.lo, d.hi) for _ in range(n) for d in domains]
+        table = np.array(codes, dtype=np.int64).reshape(n, len(domains))
+        by_name = {var.name: var for var in self.vars}
+        out = {}
+        for j, d in enumerate(domains):
+            var = by_name[d.var]
+            column = table[:, j]
+            if d.values is not None:
+                lookup = np.array([var.encode_value(v) for v in d.values],
+                                  dtype=np.int64)
+                column = lookup[column]
+            out[d.var] = np.ascontiguousarray(column, dtype=var.dtype)
+        return {name: out[name] for name in self.names}
 
     # ------------------------------------------------------------------
     # Batched (tiled) layouts

@@ -91,9 +91,19 @@ def _binding(program):
 
 
 def _load(binding):
+    """The binding's shared object, its entry points typed on first load."""
     from ...ir import ccbuild
 
-    return ccbuild.load(binding.code.source)
+    lib = ccbuild.load(binding.code.source)
+    if lib is not None and lib.repro_segment.argtypes is None:
+        seg = ctypes.POINTER(_Seg)
+        lib.repro_segment.restype = _I
+        lib.repro_segment.argtypes = [seg]
+        lib.repro_row_guards.restype = _I
+        lib.repro_row_guards.argtypes = [seg, _I, _I, ctypes.POINTER(_I)]
+        lib.repro_row_action.restype = None
+        lib.repro_row_action.argtypes = [seg, _I, _I, ctypes.POINTER(_I)]
+    return lib
 
 
 class Segment:
@@ -169,8 +179,6 @@ class Segment:
         s.tel_counts = seg.tel_counts.ctypes.data
         # Everything the struct points into stays alive with the segment.
         seg._keep = (binding, params)
-        lib.repro_segment.restype = _I
-        lib.repro_segment.argtypes = [ctypes.POINTER(_Seg)]
         return seg
 
     def step(self, budget: int, steps: int, stats) -> int:
@@ -284,12 +292,6 @@ class Rows:
         s.params = ctypes.cast(params, _P)
         s.k = binding.consts.ctypes.data
         rows._keep = (binding, cols, columns, params)
-        lib.repro_row_guards.restype = _I
-        lib.repro_row_guards.argtypes = [ctypes.POINTER(_Seg), _I, _I,
-                                         ctypes.POINTER(_I)]
-        lib.repro_row_action.restype = None
-        lib.repro_row_action.argtypes = [ctypes.POINTER(_Seg), _I, _I,
-                                         ctypes.POINTER(_I)]
         return rows
 
     def guards(self, u: int, predicate: str | None = None):

@@ -81,22 +81,6 @@ def _warn_auto_fallback(name: str) -> None:
         )
 
 
-#: Algorithm names already warned about handwritten kernel programs.
-_HANDWRITTEN_WARNED: set[str] = set()
-
-
-def _warn_handwritten_program(name: str) -> None:
-    if name not in _HANDWRITTEN_WARNED:
-        _HANDWRITTEN_WARNED.add(name)
-        _logger.warning(
-            "algorithm %r supplies a handwritten kernel program; handwritten "
-            "numpy twins are deprecated — declare a repro.ir rule set and "
-            "let rule_set().compile_kernel() generate the program (see "
-            "repro/unison/kernelized.py)",
-            name,
-        )
-
-
 class RunResult:
     """Summary of a (partial) execution produced by :meth:`Simulator.run`.
 
@@ -180,6 +164,15 @@ class Simulator:
     config:
         Initial configuration ``γ0``; defaults to the algorithm's
         ``initial_configuration()``.
+    columns:
+        ``γ0`` already encoded as the kernel program's columns (e.g.
+        drawn by :meth:`repro.core.kernel.schema.Schema.draw`), instead
+        of ``config``; kernel backend only.  The runtime takes the
+        arrays over, and :attr:`cfg` decodes them on first read.
+    program:
+        The algorithm's kernel program, when the caller already holds
+        one (a campaign cell shares one across its trials); defaults to
+        ``algorithm.kernel_program()``.
     seed / rng:
         Randomness for the daemon (and nothing else).  Provide at most one.
     strict:
@@ -268,9 +261,13 @@ class Simulator:
         probes: Sequence[Any] = (),
         faults: Any = None,
         churn: Any = None,
+        columns: Any = None,
+        program: Any = None,
     ):
         if seed is not None and rng is not None:
             raise ValueError("provide either seed or rng, not both")
+        if config is not None and columns is not None:
+            raise ValueError("provide either config or columns, not both")
         self.algorithm = algorithm
         self.network = algorithm.network
         self.daemon = daemon
@@ -288,24 +285,33 @@ class Simulator:
         #: (kept out of the enabled set on every backend).
         self.dead: set[int] = set()
 
-        cfg = config.copy() if config is not None else algorithm.initial_configuration()
-        if len(cfg) != self.network.n:
-            raise ValueError(
-                f"configuration has {len(cfg)} states for {self.network.n} processes"
-            )
+        cfg = None
+        if columns is None:
+            cfg = config.copy() if config is not None else algorithm.initial_configuration()
+            if len(cfg) != self.network.n:
+                raise ValueError(
+                    f"configuration has {len(cfg)} states for {self.network.n} processes"
+                )
 
-        self.backend = self._resolve_backend(backend)
+        self.backend = self._resolve_backend(backend, program)
+        if columns is not None and self.backend != "kernel":
+            raise ValueError("initial columns require the kernel backend")
         self._cfg: Configuration | None = cfg
-        self._cfg_dirty = False
+        self._cfg_dirty = cfg is None
         self._kernel = None
         self._shadow: Configuration | None = None
         if self.backend == "kernel":
             from .kernel.engine import KernelRuntime
 
-            self._kernel = KernelRuntime(self._program, cfg)
+            self._kernel = KernelRuntime(self._program, cfg, columns=columns)
+            if self._kernel.n != self.network.n:
+                raise ValueError(
+                    f"columns hold {self._kernel.n} states for "
+                    f"{self.network.n} processes"
+                )
             self._cfg_view = _LazyConfigView(self)
             if self.paranoid:
-                self._shadow = cfg.copy()
+                self._shadow = self.cfg.copy()
 
         self.step_count = 0
         self.move_count = 0
@@ -347,17 +353,15 @@ class Simulator:
     # ------------------------------------------------------------------
     # Backend selection
     # ------------------------------------------------------------------
-    def _resolve_backend(self, requested: str) -> str:
+    def _resolve_backend(self, requested: str, program) -> str:
         if requested not in BACKENDS:
             raise ValueError(f"unknown backend {requested!r}; choose from {BACKENDS}")
         if requested == "dict":
             self._program = None
             return "dict"
-        self._program = self.algorithm.kernel_program()
+        self._program = (program if program is not None
+                         else self.algorithm.kernel_program())
         if self._program is not None:
-            inner = getattr(self._program, "inner", self._program)
-            if not getattr(inner, "ir_generated", False):
-                _warn_handwritten_program(self.algorithm.name)
             return "kernel"
         if requested == "kernel":
             raise AlgorithmError(

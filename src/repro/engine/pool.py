@@ -16,10 +16,20 @@ needed.
 Because every trial's seed derives from its descriptor (not from
 execution order, worker count, or batch shape), all paths produce
 byte-identical records.
+
+The parent commits the store by cell, not by record: appends are grouped
+(:meth:`~repro.engine.store.ResultStore.group`) and committed when a
+landed record belongs to another cell than the previous one, when a
+record lands :data:`COMMIT_INTERVAL` seconds or more after the last
+commit, and before :func:`run_specs` returns or raises.  In-process the
+same check also runs before each unit starts.  A crash therefore loses at
+most the records landed since the last commit plus the unit in flight;
+resume re-runs them.
 """
 
 from __future__ import annotations
 
+import contextlib
 import multiprocessing
 import time
 from dataclasses import dataclass, replace
@@ -45,6 +55,17 @@ ProgressFn = Callable[[int, int, dict], None]
 #: Seconds between ``heartbeat`` events on an event sink (wall-clock
 #: throttle; the check itself runs once per landed record).
 HEARTBEAT_EVERY = 10.0
+
+#: Seconds after a store commit from which the next chance commits the
+#: pending records.  The chances are each landing and, in-process, the
+#: start of each unit.  A trial slower than this is committed as soon
+#: as it lands; in-process, a landed record waits at most this long plus
+#: one unit's run.  On the pool paths a landed record waits for the next
+#: landing (or the end of the sweep).
+COMMIT_INTERVAL = 0.5
+
+#: The clock :data:`COMMIT_INTERVAL` is measured on.
+_clock = time.monotonic
 
 
 @dataclass(frozen=True)
@@ -91,21 +112,29 @@ class FailurePolicy:
             raise ValueError("backoff must be >= 0")
 
 
-def execute_trial(spec: TrialSpec, campaign_seed: int, campaign: str = "") -> dict:
+def execute_trial(spec: TrialSpec, campaign_seed: int, campaign: str = "",
+                  spans: dict | None = None) -> dict:
     """Run one trial and return its store record.
 
     Safe to call in any process: the seed comes from the descriptor hash,
     and the record contains nothing execution-dependent (no timestamps,
     pids, or hostnames), so parallel and serial runs are byte-identical.
+    ``spans`` (optional) receives the trial's timings: the setup and run
+    spans of :func:`repro.harness.runner.run_trial` plus ``record``,
+    the seconds spent building the store record.
     """
     # Imported lazily — the harness experiments import the engine, so a
     # module-level import here would be circular.
     from ..harness.runner import run_trial
 
     seed = derive_seed(campaign_seed, spec.key())
-    return _make_record(
-        spec, seed, run_trial(spec, seed=seed), campaign_seed, campaign
-    )
+    trial = run_trial(spec, seed=seed, spans=spans)
+    if spans is None:
+        return _make_record(spec, seed, trial, campaign_seed, campaign)
+    start = time.perf_counter()
+    record = _make_record(spec, seed, trial, campaign_seed, campaign)
+    spans["record"] = time.perf_counter() - start
+    return record
 
 
 def execute_batch(
@@ -151,7 +180,8 @@ def _make_record(
 
 
 def _batch_records(
-    specs: Sequence[TrialSpec], campaign_seed: int, campaign: str
+    specs: Sequence[TrialSpec], campaign_seed: int, campaign: str,
+    spans: dict | None = None,
 ) -> tuple[list[dict], Exception | None]:
     """One cell's ``(records, error)`` via the tiled batch runner.
 
@@ -161,6 +191,8 @@ def _batch_records(
     records are returned alongside the failure — no serial re-run.
     ``UnbatchableError`` propagates (the caller falls back to serial
     trials); any other exception is a genuine defect and propagates too.
+    ``spans`` (optional) receives ``{key: spans}`` per landed record:
+    the cell's timings split evenly over its replicates.
     """
     # Imported lazily — the harness experiments import the engine, so a
     # module-level import here would be circular.
@@ -169,16 +201,25 @@ def _batch_records(
 
     specs = list(specs)
     seeds = [derive_seed(campaign_seed, spec.key()) for spec in specs]
+    cell: dict = {}
     try:
-        indexed = list(enumerate(run_trial_batch(specs, seeds)))
+        trials = (run_trial_batch(specs, seeds) if spans is None
+                  else run_trial_batch(specs, seeds, spans=cell))
+        indexed = list(enumerate(trials))
         error: Exception | None = None
     except NotStabilized as exc:
         indexed = list(exc.partial)
         error = exc
+    start = time.perf_counter() if spans is not None else 0.0
     records = [
         _make_record(specs[i], seeds[i], trial, campaign_seed, campaign)
         for i, trial in indexed
     ]
+    if spans is not None:
+        cell["record"] = time.perf_counter() - start
+        share = {name: seconds / len(specs) for name, seconds in cell.items()}
+        for record in records:
+            spans[record["key"]] = dict(share)
     return records, error
 
 
@@ -216,22 +257,30 @@ def _serial_records(
     specs: Sequence[TrialSpec],
     campaign_seed: int,
     campaign: str,
+    spans: dict | None = None,
 ) -> tuple[list[dict], Exception | None]:
-    """Serial per-trial records, stopping at a ``NotStabilized`` trial."""
+    """Serial per-trial records, stopping at a ``NotStabilized`` trial.
+
+    ``spans`` (optional) receives ``{key: spans}`` per landed record.
+    """
     from ..core.exceptions import NotStabilized
 
     records: list[dict] = []
     error: Exception | None = None
     try:
         for spec in specs:
-            records.append(execute_trial(spec, campaign_seed, campaign))
+            timed = None if spans is None else {}
+            records.append(
+                execute_trial(spec, campaign_seed, campaign, spans=timed))
+            if spans is not None:
+                spans[records[-1]["key"]] = timed
     except NotStabilized as serial_exc:
         error = serial_exc
     return records, error
 
 
 def _worker(
-    args: tuple[str, Any, int, str]
+    args: tuple[str, Any, int, str, bool]
 ) -> tuple[list[dict], Exception | None, dict]:
     """Run one execution unit; returns ``(records, error, meta)``.
 
@@ -247,33 +296,36 @@ def _worker(
     ``phases`` — this unit's telemetry delta (a
     :meth:`~repro.telemetry.phases.PhaseStats.since` snapshot), so the
     parent of a worker *process* can fold hot-path phase timings back
-    into its own collector.  ``None`` when telemetry is off.
+    into its own collector.  ``None`` when telemetry is off.  When the
+    unit is ``timed`` (its last field), ``spans`` maps each landed
+    record's key to its trial spans.
     """
-    from ..core.exceptions import NotStabilized, UnbatchableError
+    from ..core.exceptions import UnbatchableError
 
-    kind, payload, campaign_seed, campaign = args
+    kind, payload, campaign_seed, campaign, timed = args
     stats = telemetry.collector()
     mark = stats.mark() if stats is not None else None
     fallback = False
-    try:
-        if kind != "batch":
-            records, error = [execute_trial(payload, campaign_seed, campaign)], None
-        else:
-            try:
-                records, error = _batch_records(payload, campaign_seed, campaign)
-            except UnbatchableError:
-                fallback = True
-                records, error = _serial_records(payload, campaign_seed, campaign)
-    except NotStabilized as exc:
-        # Single-trial budget exhaustion: nothing landed, but the parent
-        # still owns the raise (so it can emit the failure event first).
-        records, error = [], exc
+    spans: dict | None = {} if timed else None
+    # Budget exhaustion (``NotStabilized``) comes back as ``error``:
+    # nothing of that trial landed, but the parent owns the raise (so it
+    # can land the siblings and emit the failure event first).
+    if kind != "batch":
+        records, error = _serial_records([payload], campaign_seed, campaign, spans)
+    else:
+        try:
+            records, error = _batch_records(payload, campaign_seed, campaign, spans)
+        except UnbatchableError:
+            fallback = True
+            records, error = _serial_records(payload, campaign_seed, campaign, spans)
     meta = {
         "kind": kind,
         "fallback": fallback,
         "keys": _unit_keys(kind, payload),
         "phases": stats.since(mark) if stats is not None else None,
     }
+    if spans is not None:
+        meta["spans"] = spans
     return records, error, meta
 
 
@@ -317,7 +369,7 @@ def _supervised_worker(conn, args) -> None:
     trial executes (see :mod:`repro.engine.chaos`), so a tripped worker
     cannot have landed partial results.
     """
-    kind, payload, campaign_seed, campaign = args
+    kind, payload = args[0], args[1]
     keys = _unit_keys(kind, payload)
     from . import chaos
 
@@ -364,6 +416,7 @@ def _run_supervised(
     campaign_seed: int,
     campaign: str,
     *,
+    timed: bool,
     workers: int,
     policy: FailurePolicy,
     land_records: Callable[[list[dict], dict], None],
@@ -422,7 +475,7 @@ def _run_supervised(
 
     def launch(item: _WorkItem) -> None:
         parent_conn, child_conn = ctx.Pipe(duplex=False)
-        args = (item.kind, item.payload, campaign_seed, campaign)
+        args = (item.kind, item.payload, campaign_seed, campaign, timed)
         proc = ctx.Process(
             target=_supervised_worker, args=(child_conn, args), daemon=True
         )
@@ -514,9 +567,15 @@ def run_specs(
     runs serially in-process; ``workers >= 2`` fans out to that many OS
     processes (capped by the number of batches and single trials), one
     batch or single trial per work item.  Completed
-    records are appended to ``store`` (if given) as they arrive, so an
-    interrupted run keeps everything that finished —
-    :func:`repro.engine.resume.run_campaign` picks up the rest.
+    records are appended to ``store`` (if given) as they arrive and
+    committed by cell: when a landed record belongs to another cell than
+    the previous one, when a record lands :data:`COMMIT_INTERVAL` seconds
+    or more after the last commit, and before this function returns or
+    raises; in-process, also before a unit of another cell (or one
+    starting that late) runs.
+    An interrupted run keeps everything committed — at most the records
+    landed since the last commit and the unit in flight are lost — and
+    :func:`repro.engine.resume.run_campaign` re-runs the rest.
 
     Landing is idempotent per trial key: a record whose key already
     landed is dropped (no duplicate store append, no extra ``progress``
@@ -525,10 +584,13 @@ def run_specs(
 
     ``events`` (an :class:`repro.telemetry.events.EventSink`, optional)
     receives the campaign lifecycle: ``cell_composed`` when units are
-    dispatched, ``trial_finished`` per landed record, ``trial_failed``
-    for a unit's unlanded trials before the failure re-raises, and a
-    throttled ``heartbeat`` (every ``heartbeat_every`` seconds) with
-    utilization and throughput.  On the multiprocessing path each
+    dispatched, ``trial_finished`` per landed record (with the trial's
+    ``spans``: ``setup.network``, ``setup.program``, ``setup.init``,
+    ``run`` and ``record`` seconds, timed only when a sink is attached),
+    ``store_committed`` per store commit, ``trial_failed`` for a unit's
+    unlanded trials before the failure re-raises, and a throttled
+    ``heartbeat`` (every ``heartbeat_every`` seconds) with utilization
+    and throughput.  On the multiprocessing path each
     worker's hot-path phase timings are folded back into the parent's
     telemetry collector, so a sweep's phase breakdown covers the
     children's work too.
@@ -569,27 +631,84 @@ def run_specs(
             eta_s=round((total - done) / rate, 1) if rate > 0 else None,
         )
 
+    cells = {spec.key(): spec.cell_key() for spec in specs} if store is not None else {}
+    last_cell: str | None = None
+    last_commit = _clock()
+
+    def commit() -> None:
+        nonlocal last_commit
+        start = time.perf_counter()
+        count = store.commit()
+        last_commit = _clock()
+        if count and events is not None:
+            events.emit("store_committed", records=count,
+                        seconds=time.perf_counter() - start)
+
+    @contextlib.contextmanager
+    def campaign_scope():
+        """Confine the runner's cell memo to this call, and group the
+        store's appends with the last commit on the way out, whether
+        the executor returns or raises."""
+        from ..harness.runner import cell_scope
+
+        with cell_scope():
+            if store is None:
+                yield
+                return
+            with store.group():
+                try:
+                    yield
+                finally:
+                    commit()
+
+    def before_unit(kind: str, item) -> None:
+        """In-process, commit before a unit runs when its cell differs or
+        the interval has passed: a finished cell's records never wait on
+        the next cell's setup and first run."""
+        nonlocal last_cell
+        if store is None:
+            return
+        cell = cells[(item[0] if kind == "batch" else item).key()]
+        if cell != last_cell or _clock() - last_commit >= COMMIT_INTERVAL:
+            commit()
+            last_cell = cell
+
     def land(record: dict, meta: dict) -> None:
-        if record["key"] in records_by_key:
+        nonlocal last_cell
+        key = record["key"]
+        if key in records_by_key:
             return  # already landed (e.g. duplicate across units): once only
-        records_by_key[record["key"]] = record
+        records_by_key[key] = record
+        spans = meta.get("spans", {}).get(key) if events is not None else None
         if store is not None:
+            if cells[key] != last_cell:
+                commit()
+                last_cell = cells[key]
+            start = time.perf_counter()
             store.append(record)
+            if spans is not None:
+                spans["record"] = (spans.get("record", 0.0)
+                                   + time.perf_counter() - start)
+            if _clock() - last_commit >= COMMIT_INTERVAL:
+                commit()
         if events is not None:
             events.emit(
                 "trial_finished",
-                key=record["key"],
+                key=key,
                 status="ok",
                 steps=record.get("result", {}).get("steps"),
                 unit=meta.get("kind"),
                 fallback=meta.get("fallback", False),
+                **({"spans": spans} if spans is not None else {}),
             )
         if progress is not None:
             progress(len(records_by_key), total, record)
         heartbeat()
 
     units = _execution_units(specs, batch)
-    payload = [(kind, item, campaign_seed, campaign) for kind, item in units]
+    timed = events is not None
+    payload = [(kind, item, campaign_seed, campaign, timed)
+               for kind, item in units]
     if events is not None:
         for kind, item in units:
             cell = item[0].cell_key() if kind == "batch" else item.cell_key()
@@ -642,32 +761,36 @@ def run_specs(
             for record in records:
                 land(record, meta)
 
-        _run_supervised(
-            units, campaign_seed, campaign,
-            workers=workers, policy=policy,
-            land_records=land_records,
-            quarantine=quarantine,
-            landed=lambda key: key in records_by_key,
-            absorb=(stats.absorb if stats is not None else lambda delta: None),
-        )
+        with campaign_scope():
+            _run_supervised(
+                units, campaign_seed, campaign,
+                timed=timed, workers=workers, policy=policy,
+                land_records=land_records,
+                quarantine=quarantine,
+                landed=lambda key: key in records_by_key,
+                absorb=(stats.absorb if stats is not None else lambda delta: None),
+            )
         return [
             records_by_key[spec.key()]
             for spec in specs
             if spec.key() in records_by_key
         ]
 
-    if workers <= 1 or total <= 1:
-        for args in payload:
-            land_unit(_worker(args), absorb_phases=False)
-    else:
-        workers = min(workers, len(units))
-        chunk = (
-            chunksize
-            if chunksize is not None
-            else default_chunksize(len(units), workers)
-        )
-        with multiprocessing.Pool(workers) as pool:
-            for result in pool.imap_unordered(_worker, payload, chunksize=chunk):
-                land_unit(result, absorb_phases=True)
+    with campaign_scope():
+        if workers <= 1 or total <= 1:
+            for args in payload:
+                before_unit(args[0], args[1])
+                land_unit(_worker(args), absorb_phases=False)
+        else:
+            workers = min(workers, len(units))
+            chunk = (
+                chunksize
+                if chunksize is not None
+                else default_chunksize(len(units), workers)
+            )
+            with multiprocessing.Pool(workers) as pool:
+                for result in pool.imap_unordered(_worker, payload,
+                                                  chunksize=chunk):
+                    land_unit(result, absorb_phases=True)
 
     return [records_by_key[spec.key()] for spec in specs]

@@ -1,19 +1,33 @@
 """Append-only JSONL result store keyed by trial descriptor.
 
 One record per line, one line per trial; ``schema`` stamps every record so
-future layouts can migrate old stores instead of guessing.  Appends flush
-and fsync a whole line at a time, so a crash mid-campaign loses at most the
-trailing partial line — which :meth:`ResultStore.load` tolerates and
-:meth:`ResultStore.compact` trims away.  Whole-file rewrites go through a
-temp file + ``os.replace`` so readers never observe a half-written store.
+future layouts can migrate old stores instead of guessing.
+
+Durability comes from *commits*: a commit trims any crash-torn partial
+final line, writes whole lines, flushes and fsyncs once.  A bare
+:meth:`ResultStore.append` commits its one record at once.  Inside
+``with store.group():`` appends are buffered in memory and land at the
+next :meth:`ResultStore.commit` (and when the block exits, normally or
+by an exception), so a crash loses at most the records appended since
+the last commit — whole lines, never a torn one that a reader would
+trip over.  :func:`repro.engine.pool.run_specs` groups its appends and
+commits at each cell boundary and at its first chance once
+:data:`~repro.engine.pool.COMMIT_INTERVAL` seconds have passed since the
+last commit; a resumed campaign re-runs what a crash lost.  :meth:`ResultStore.load` tolerates a torn
+tail anyway (a crash inside a commit's write) and
+:meth:`ResultStore.compact` trims it away.  Whole-file rewrites go
+through a temp file + ``os.replace`` so readers never observe a
+half-written store.
 
 Records are deliberately deterministic: no timestamps, hostnames, or pids.
 The same campaign therefore produces byte-identical stores no matter how
-many workers ran it or how often it was resumed.
+many workers ran it, how its commits were grouped, or how often it was
+resumed.
 """
 
 from __future__ import annotations
 
+import contextlib
 import json
 import os
 import pathlib
@@ -56,6 +70,9 @@ class ResultStore:
 
     def __init__(self, path: str | os.PathLike):
         self.path = pathlib.Path(path)
+        #: Lines appended inside :meth:`group` and not yet committed
+        #: (``None``: not grouping — every append commits).
+        self._pending: list[str] | None = None
 
     def exists(self) -> bool:
         return self.path.exists()
@@ -101,32 +118,62 @@ class ResultStore:
             fh.truncate(0)
 
     def append(self, record: Mapping[str, Any]) -> None:
-        """Durably append one record (whole line, flushed and fsynced)."""
+        """Append one record: committed at once, or — inside
+        :meth:`group` — at the group's next commit."""
         record = dict(record)
         record.setdefault("schema", SCHEMA_VERSION)
-        self.path.parent.mkdir(parents=True, exist_ok=True)
-        self._heal_tail()
-        with self.path.open("a", encoding="utf-8") as fh:
-            fh.write(_dump_line(record))
-            fh.flush()
-            os.fsync(fh.fileno())
+        line = _dump_line(record)
+        if self._pending is not None:
+            self._pending.append(line)
+        else:
+            self._write([line])
 
     def append_many(self, records: Iterable[Mapping[str, Any]]) -> int:
-        """Append several records with a single flush; returns the count."""
+        """Append several records with a single commit; returns the count."""
         lines = []
         for record in records:
             record = dict(record)
             record.setdefault("schema", SCHEMA_VERSION)
             lines.append(_dump_line(record))
+        if lines:
+            self._write(lines)
+        return len(lines)
+
+    @contextlib.contextmanager
+    def group(self) -> Iterator["ResultStore"]:
+        """Buffer appends until :meth:`commit`; commit on exit.
+
+        The exit commits whether the block returns or raises, so an
+        exception never strands records that were already appended.
+        """
+        if self._pending is not None:
+            raise StoreError(f"{self.path}: store is already grouping appends")
+        self._pending = []
+        try:
+            yield self
+        finally:
+            try:
+                self.commit()
+            finally:
+                self._pending = None
+
+    def commit(self) -> int:
+        """Durably write the grouped appends (one write, one fsync);
+        returns how many records it wrote."""
+        lines = self._pending
         if not lines:
             return 0
+        self._pending = []
+        self._write(lines)
+        return len(lines)
+
+    def _write(self, lines: list[str]) -> None:
         self.path.parent.mkdir(parents=True, exist_ok=True)
         self._heal_tail()
         with self.path.open("a", encoding="utf-8") as fh:
             fh.writelines(lines)
             fh.flush()
             os.fsync(fh.fileno())
-        return len(lines)
 
     def rewrite(self, records: Iterable[Mapping[str, Any]]) -> int:
         """Atomically replace the whole store (temp file + ``os.replace``)."""

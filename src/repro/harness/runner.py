@@ -16,11 +16,13 @@ Two execution fast paths keep trials off the per-step Python boundary:
 
 from __future__ import annotations
 
+import contextlib
 import os
 import re
+import time
 from dataclasses import dataclass, field
 from random import Random
-from typing import TYPE_CHECKING, Any, Callable, Sequence
+from typing import TYPE_CHECKING, Any, Callable, NamedTuple, Sequence
 
 from ..alliance.fga import FGA
 from ..alliance.functions import instance_by_name
@@ -210,6 +212,10 @@ def _serial_fault_trial(
     terminal: bool = False,
     waves: bool = True,
     extra_fn=None,
+    columns=None,
+    program=None,
+    spans: dict | None = None,
+    start: float = 0.0,
 ) -> Trial:
     """One trial whose measured workload is recovery from disturbances.
 
@@ -221,6 +227,8 @@ def _serial_fault_trial(
     series lands in ``Trial.extra`` — byte-identical across dict,
     fused, and batched execution.  (Churn trials never batch — see
     :func:`can_batch` — so the batched path stays fault-only.)
+    ``columns``, ``program``, ``spans`` and ``start`` (the setup span's
+    start) come from the calling trial body (:func:`_unison_trial`).
     """
     # One dict of schedules, keyed by their Simulator parameter names
     # (which are also their ``Trial.extra`` keys).
@@ -249,7 +257,8 @@ def _serial_fault_trial(
     topo = (network.n, network.m, network.diameter, network.max_degree)
     sim = Simulator(algo, _make_daemon(daemon, network), config=cfg, seed=seed,
                     backend=backend, fuse=probe != "decode",
-                    probes=probes, **bounds)
+                    probes=probes, columns=columns, program=program, **bounds)
+    start = _lap(spans, "setup.init", start)
     result = sim.run(max_steps=max_steps)
     _require_recovered(finite, total, bounds.values(), recovery, result)
     extra = dict(extra_fn(sim)) if extra_fn is not None else {}
@@ -267,7 +276,7 @@ def _serial_fault_trial(
     extra["recovery"] = recovery.summary()
     if wave is not None:
         extra["sdr_waves"] = wave.summary()
-    return Trial(
+    trial = Trial(
         algorithm=algorithm_label,
         scenario=scenario,
         daemon=sim.daemon.name,
@@ -282,6 +291,8 @@ def _serial_fault_trial(
         metrics=collect_metrics(sim),
         extra=extra,
     )
+    _lap(spans, "run", start)
+    return trial
 
 
 # ----------------------------------------------------------------------
@@ -430,6 +441,40 @@ def _fga_start(sdr: SDR, scenario: str, rng: Random):
     raise ValueError(f"unknown FGA scenario {scenario!r}")
 
 
+def _now(spans: dict | None) -> float:
+    """A span start: ``perf_counter()`` when timing, else 0."""
+    return time.perf_counter() if spans is not None else 0.0
+
+
+def _lap(spans: dict | None, name: str, start: float) -> float:
+    """Record ``spans[name]`` as the seconds since ``start``; returns
+    the new start (no-op, no clock read, when ``spans`` is ``None``)."""
+    if spans is None:
+        return 0.0
+    now = time.perf_counter()
+    spans[name] = now - start
+    return now
+
+
+def _initial(cell: "_Cell", scenario: str, rng: Random, build, backend: str,
+             adversary: str | None):
+    """``(cfg, columns)``: the trial's initial configuration.
+
+    The ``random`` scenario on the kernel path, for an algorithm that
+    declares its domains, draws straight into the program's columns
+    (:meth:`~repro.core.kernel.schema.Schema.draw` — the same draws as
+    ``random_configuration``, no per-process dicts); everything else
+    builds a :class:`~repro.core.configuration.Configuration` with
+    ``build(algorithm, scenario, rng)``.  Adversary trials keep the configuration: their
+    certificate records it.
+    """
+    if scenario == "random" and adversary is None and backend != "dict":
+        program, domains = cell.program(), cell.algorithm.declared_domains
+        if program is not None and domains is not None:
+            return None, program.schema.draw(domains, cell.network.n, rng)
+    return build(cell.algorithm, scenario, rng), None
+
+
 def run_unison_trial(
     network: Network,
     seed: int = 0,
@@ -464,24 +509,57 @@ def run_unison_trial(
     replay-verified on the dict backend before the record lands in
     ``Trial.extra["adversary"]``.
     """
+    cell = _Cell(None, network,
+                 _ALGORITHMS["unison"].build(network, {"period": period}))
+    return _unison_trial(
+        cell, seed=seed, daemon=daemon, scenario=scenario,
+        max_steps=max_steps, backend=backend, probe=probe, faults=faults,
+        churn=churn, adversary=adversary,
+    )
+
+
+def _unison_trial(
+    cell: "_Cell",
+    seed: int = 0,
+    daemon: str | Daemon = "distributed-random",
+    scenario: str = "random",
+    max_steps: int = UNISON_MAX_STEPS,
+    backend: str = "auto",
+    probe: str = "auto",
+    faults=None,
+    churn=None,
+    adversary: str | None = None,
+    spans: dict | None = None,
+) -> Trial:
+    """:func:`run_unison_trial` in a prepared cell.
+
+    ``spans`` (optional) receives ``setup.init`` (initial configuration
+    and simulator) and ``run`` (execution and measurement) in seconds.
+    """
     _check_probe_mode(probe)
+    start = _now(spans)
+    network, sdr = cell.network, cell.algorithm
     rng = Random(seed)
-    sdr = SDR(Unison(network, period=period))
-    cfg = _unison_start(sdr, scenario, rng)
+    cfg, columns = _initial(cell, scenario, rng, _unison_start, backend,
+                            adversary)
     if adversary is not None:
         daemon, backend = _adversary_daemon(
             adversary, daemon, backend, faults, churn, network,
             stop_mask="normal_mask",
         )
+    program = cell.program() if backend != "dict" else None
     if faults is not None or churn is not None:
         return _serial_fault_trial(
             "U o SDR", sdr, network, cfg, daemon, scenario, seed, faults,
             max_steps=max_steps, backend=backend, probe=probe, churn=churn,
             mask_attr="normal_mask", predicate=sdr.is_normal,
+            columns=columns, program=program, spans=spans, start=start,
         )
     sim = Simulator(sdr, _make_daemon(daemon, network), config=cfg, seed=seed,
                     backend=backend, fuse=probe != "decode",
-                    probes=_named_probes(probe, network.n))
+                    probes=_named_probes(probe, network.n),
+                    columns=columns, program=program)
+    start = _lap(spans, "setup.init", start)
     steps, rounds, moves = _stabilization(sim, sdr.is_normal, "normal_mask",
                                           max_steps, probe=probe)
     extra: dict[str, Any] = {}
@@ -490,7 +568,7 @@ def run_unison_trial(
             sim.daemon, adversary, "U o SDR", sdr, cfg, sim.cfg, rounds,
             seed, network,
         )
-    return Trial(
+    trial = Trial(
         algorithm="U o SDR",
         scenario=scenario,
         daemon=sim.daemon.name,
@@ -505,6 +583,8 @@ def run_unison_trial(
         metrics=collect_metrics(sim),
         extra=extra,
     )
+    _lap(spans, "run", start)
+    return trial
 
 
 def run_boulinier_trial(
@@ -530,15 +610,42 @@ def run_boulinier_trial(
     reset layer).  ``adversary`` replaces the daemon with a schedule
     search, as in :func:`run_unison_trial`.
     """
+    cell = _Cell(None, network, _ALGORITHMS["boulinier"].build(
+        network, {"period": period, "alpha": alpha}))
+    return _boulinier_trial(
+        cell, seed=seed, daemon=daemon, scenario=scenario,
+        max_steps=max_steps, backend=backend, probe=probe, faults=faults,
+        churn=churn, adversary=adversary,
+    )
+
+
+def _boulinier_trial(
+    cell: "_Cell",
+    seed: int = 0,
+    daemon: str | Daemon = "distributed-random",
+    scenario: str = "random",
+    max_steps: int = BOULINIER_MAX_STEPS,
+    backend: str = "auto",
+    probe: str = "auto",
+    faults=None,
+    churn=None,
+    adversary: str | None = None,
+    spans: dict | None = None,
+) -> Trial:
+    """:func:`run_boulinier_trial` in a prepared cell (``spans`` as in
+    :func:`_unison_trial`)."""
     _check_probe_mode(probe)
+    start = _now(spans)
+    network, algo = cell.network, cell.algorithm
     rng = Random(seed)
-    algo = BoulinierUnison(network, period=period, alpha=alpha)
-    cfg = _boulinier_start(algo, scenario, rng)
+    cfg, columns = _initial(cell, scenario, rng, _boulinier_start, backend,
+                            adversary)
     if adversary is not None:
         daemon, backend = _adversary_daemon(
             adversary, daemon, backend, faults, churn, network,
             stop_mask="legitimate_mask",
         )
+    program = cell.program() if backend != "dict" else None
     if faults is not None or churn is not None:
         return _serial_fault_trial(
             "boulinier", algo, network, cfg, daemon, scenario, seed, faults,
@@ -546,10 +653,13 @@ def run_boulinier_trial(
             mask_attr="legitimate_mask", predicate=algo.is_legitimate,
             waves=False,
             extra_fn=lambda sim: {"period": algo.period, "alpha": algo.alpha},
+            columns=columns, program=program, spans=spans, start=start,
         )
     sim = Simulator(algo, _make_daemon(daemon, network), config=cfg, seed=seed,
                     backend=backend, fuse=probe != "decode",
-                    probes=_named_probes(probe, network.n))
+                    probes=_named_probes(probe, network.n),
+                    columns=columns, program=program)
+    start = _lap(spans, "setup.init", start)
     steps, rounds, moves = _stabilization(sim, algo.is_legitimate,
                                           "legitimate_mask", max_steps,
                                           probe=probe)
@@ -559,7 +669,7 @@ def run_boulinier_trial(
             sim.daemon, adversary, "boulinier", algo, cfg, sim.cfg, rounds,
             seed, network,
         )
-    return Trial(
+    trial = Trial(
         algorithm="boulinier",
         scenario=scenario,
         daemon=sim.daemon.name,
@@ -574,6 +684,8 @@ def run_boulinier_trial(
         metrics=collect_metrics(sim),
         extra=extra,
     )
+    _lap(spans, "run", start)
+    return trial
 
 
 def run_fga_trial(
@@ -601,14 +713,40 @@ def run_fga_trial(
     ``adversary`` replaces the daemon with a schedule search, as in
     :func:`run_unison_trial`.
     """
+    cell = _Cell(None, network, SDR(FGA(network, f, g)))
+    return _fga_trial(
+        cell, seed=seed, daemon=daemon, scenario=scenario,
+        max_steps=max_steps, backend=backend, probe=probe, faults=faults,
+        churn=churn, adversary=adversary,
+    )
+
+
+def _fga_trial(
+    cell: "_Cell",
+    seed: int = 0,
+    daemon: str | Daemon = "distributed-random",
+    scenario: str = "random",
+    max_steps: int = FGA_MAX_STEPS,
+    backend: str = "auto",
+    probe: str = "auto",
+    faults=None,
+    churn=None,
+    adversary: str | None = None,
+    spans: dict | None = None,
+) -> Trial:
+    """:func:`run_fga_trial` in a prepared cell (``spans`` as in
+    :func:`_unison_trial`)."""
     _check_probe_mode(probe)
+    start = _now(spans)
+    network, sdr = cell.network, cell.algorithm
     rng = Random(seed)
-    sdr = SDR(FGA(network, f, g))
-    cfg = _fga_start(sdr, scenario, rng)
+    cfg, columns = _initial(cell, scenario, rng, _fga_start, backend,
+                            adversary)
     if adversary is not None:
         daemon, backend = _adversary_daemon(
             adversary, daemon, backend, faults, churn, network
         )
+    program = cell.program() if backend != "dict" else None
     if faults is not None or churn is not None:
         def fga_extra(sim):
             alliance = sdr.input.alliance(sim.cfg)
@@ -619,10 +757,13 @@ def run_fga_trial(
             "FGA o SDR", sdr, network, cfg, daemon, scenario, seed, faults,
             max_steps=max_steps, backend=backend, probe=probe, churn=churn,
             terminal=True, extra_fn=fga_extra,
+            columns=columns, program=program, spans=spans, start=start,
         )
     sim = Simulator(sdr, _make_daemon(daemon, network), config=cfg, seed=seed,
                     backend=backend, fuse=probe != "decode",
-                    probes=_named_probes(probe, network.n))
+                    probes=_named_probes(probe, network.n),
+                    columns=columns, program=program)
+    start = _lap(spans, "setup.init", start)
     result = sim.run_to_termination(max_steps=max_steps)
     alliance = sdr.input.alliance(sim.cfg)
     extra: dict[str, Any] = {
@@ -633,7 +774,7 @@ def run_fga_trial(
             sim.daemon, adversary, "FGA o SDR", sdr, cfg, sim.cfg,
             result.rounds, seed, network,
         )
-    return Trial(
+    trial = Trial(
         algorithm="FGA o SDR",
         scenario=scenario,
         daemon=sim.daemon.name,
@@ -648,26 +789,128 @@ def run_fga_trial(
         metrics=collect_metrics(sim),
         extra=extra,
     )
+    _lap(spans, "run", start)
+    return trial
 
 
-#: One-entry memo of the last clean trial's network, as
-#: ``((topology, n, topology_seed), network)``.
-_cell_network: tuple[tuple, Network] | None = None
+# ----------------------------------------------------------------------
+# Campaign cells: what a cell's replicate trials share
+# ----------------------------------------------------------------------
+class _Recipe(NamedTuple):
+    """How one trial algorithm is built and run."""
+
+    #: The params its instance is built from; the other params
+    #: configure the run.
+    params: tuple[str, ...]
+    #: ``build(network, construction)`` → the algorithm instance.
+    build: Callable[[Network, dict], Any]
+    #: The serial trial body, run in a prepared :class:`_Cell`.
+    body: Callable[..., Trial]
 
 
-def _trial_network(spec: "TrialSpec", params: dict) -> Network:
-    """The network ``spec`` runs on: the memoized cell's, or a fresh one."""
-    global _cell_network
-    if params.get("churn") is not None:
-        # Churn mutates its network in place: never share it.
-        return by_name(spec.topology, spec.n, seed=spec.topology_seed)
-    key = (spec.topology, spec.n, spec.topology_seed)
-    if _cell_network is None or _cell_network[0] != key:
-        _cell_network = (key, by_name(spec.topology, spec.n, seed=spec.topology_seed))
-    return _cell_network[1]
+def _build_fga(network: Network, construction: dict):
+    f, g = instance_by_name(construction.get("instance", "dominating-set"),
+                            network)
+    return SDR(FGA(network, f, g))
 
 
-def run_trial(spec: "TrialSpec", seed: int | None = None) -> Trial:
+_ALGORITHMS = {
+    "unison": _Recipe(
+        ("period",),
+        lambda network, c: SDR(Unison(network, period=c.get("period"))),
+        _unison_trial,
+    ),
+    "boulinier": _Recipe(
+        ("period", "alpha"),
+        lambda network, c: BoulinierUnison(network, period=c.get("period"),
+                                           alpha=c.get("alpha")),
+        _boulinier_trial,
+    ),
+    "fga": _Recipe(("instance",), _build_fga, _fga_trial),
+}
+
+_UNBUILT = object()
+
+
+class _Cell:
+    """What one campaign cell's replicate trials share: the network, the
+    algorithm instance and its kernel program (the rule set, its
+    structure, the CSR, the hoisted invariants and the C binding)."""
+
+    __slots__ = ("key", "network", "algorithm", "_program")
+
+    def __init__(self, key, network: Network, algorithm):
+        self.key = key
+        self.network = network
+        self.algorithm = algorithm
+        self._program = _UNBUILT
+
+    def program(self):
+        """The algorithm's kernel program (``None`` without one), built
+        on first use."""
+        if self._program is _UNBUILT:
+            self._program = self.algorithm.kernel_program()
+        return self._program
+
+
+#: The last clean trial's cell (a one-entry memo, see :func:`run_trial`).
+_cell: _Cell | None = None
+
+
+@contextlib.contextmanager
+def cell_scope():
+    """Confine the cell memo to one campaign: it starts and ends empty,
+    so no cell (and its memory) outlives the campaign that built it."""
+    global _cell
+    _cell = None
+    try:
+        yield
+    finally:
+        _cell = None
+
+
+def _trial_cell(spec: "TrialSpec", params: dict,
+                spans: dict | None = None) -> _Cell:
+    """The cell ``spec`` runs in: the memoized one, or a fresh one.
+
+    Pops the algorithm's construction params off ``params``.  ``spans``
+    (optional) receives ``setup.network`` and ``setup.program`` in
+    seconds, both 0.0 when the memo serves the cell.
+    """
+    global _cell
+    recipe = _ALGORITHMS.get(spec.algorithm)
+    if recipe is None:
+        raise ValueError(
+            f"unknown trial algorithm {spec.algorithm!r}; "
+            "choose from 'unison', 'boulinier', 'fga'"
+        )
+    construction = {name: params.pop(name) for name in recipe.params
+                    if name in params}
+    key = (spec.algorithm, spec.topology, spec.n, spec.topology_seed,
+           tuple(sorted(construction.items())))
+    # Churn mutates its network and the program's CSR in place: a churn
+    # trial gets a cell of its own and neither reads nor replaces the memo.
+    churn = params.get("churn") is not None
+    if not churn and _cell is not None and _cell.key == key:
+        if spans is not None:
+            spans["setup.network"] = spans["setup.program"] = 0.0
+        return _cell
+    if not churn:
+        _cell = None  # let the old cell go before the new one is built
+    start = _now(spans)
+    network = by_name(spec.topology, spec.n, seed=spec.topology_seed)
+    start = _lap(spans, "setup.network", start)
+    cell = _Cell(key, network, recipe.build(network, construction))
+    if params.get("backend") != "dict":
+        cell.program()
+    _lap(spans, "setup.program", start)
+    if not churn:
+        _cell = cell
+    return cell
+
+
+def run_trial(spec: "TrialSpec", seed: int | None = None,
+              spans: dict | None = None) -> Trial:
     """Descriptor-driven entry point used by :mod:`repro.engine`.
 
     ``spec`` names the algorithm, topology family (built via
@@ -676,37 +919,30 @@ def run_trial(spec: "TrialSpec", seed: int | None = None) -> Trial:
     (the engine derives it from the campaign seed and the spec key; when
     omitted, the replicate index is used so bare specs stay runnable).
 
-    Cell reuse: the last network built is kept, keyed by ``(topology, n,
-    topology_seed)``, and handed to the next trial with the same key.
-    :meth:`~repro.engine.Campaign.iter_specs` puts the replicate index
-    innermost, so a cell's trials arrive back to back and the cell
-    builds its network (and computes its diameter) once.  Trials with a
-    ``churn`` param mutate their network, so they always get a fresh one
-    and neither read nor replace the kept one.
+    Cell reuse: the last cell's network, algorithm instance and kernel
+    program are kept, keyed by ``(algorithm, topology, n,
+    topology_seed)`` plus the algorithm's construction params
+    (``period``, ``alpha``, ``instance``), and handed to the next trial
+    with the same key.  :meth:`~repro.engine.Campaign.iter_specs` puts
+    the replicate index innermost, so a cell's trials arrive back to back
+    and the cell builds its network, diameter and program once; a trial
+    then draws its initial configuration and runs.  Trials with a
+    ``churn`` param mutate their network, so they always get a fresh
+    cell and neither read nor replace the kept one.
+    :func:`repro.engine.pool.run_specs` confines the memo to one
+    campaign (:func:`cell_scope`).
+
+    ``spans`` (optional) receives the trial's timings in seconds:
+    ``setup.network``, ``setup.program`` (0.0 when the kept cell served
+    the trial), ``setup.init`` and ``run``.
     """
     params = spec.kwargs() if hasattr(spec, "kwargs") else dict(spec.params)
-    network = _trial_network(spec, params)
+    cell = _trial_cell(spec, params, spans)
     if seed is None:
         seed = spec.trial
-    if spec.algorithm == "unison":
-        return run_unison_trial(
-            network, seed=seed, daemon=spec.daemon, scenario=spec.scenario, **params
-        )
-    if spec.algorithm == "boulinier":
-        return run_boulinier_trial(
-            network, seed=seed, daemon=spec.daemon, scenario=spec.scenario, **params
-        )
-    if spec.algorithm == "fga":
-        instance = params.pop("instance", "dominating-set")
-        f, g = instance_by_name(instance, network)
-        return run_fga_trial(
-            network, f, g, seed=seed, daemon=spec.daemon, scenario=spec.scenario,
-            **params,
-        )
-    raise ValueError(
-        f"unknown trial algorithm {spec.algorithm!r}; "
-        "choose from 'unison', 'boulinier', 'fga'"
-    )
+    return _ALGORITHMS[spec.algorithm].body(
+        cell, seed=seed, daemon=spec.daemon, scenario=spec.scenario,
+        spans=spans, **params)
 
 
 # ----------------------------------------------------------------------
@@ -759,6 +995,7 @@ def run_trial_batch(
     specs: Sequence["TrialSpec"],
     seeds: Sequence[int],
     probes: Sequence[Sequence] | None = None,
+    spans: dict | None = None,
 ) -> list[Trial]:
     """Run one campaign cell's replicate trials as a single tiled batch.
 
@@ -778,13 +1015,17 @@ def run_trial_batch(
     stabilizing siblings' finished :class:`Trial` results in its
     ``partial`` attribute — callers land those instead of re-running
     the cell.
+
+    The cell's network, algorithm and program come from the same memo
+    as :func:`run_trial`'s.  ``spans`` (optional) receives the whole
+    cell's ``setup.network``, ``setup.program``, ``setup.init`` and
+    ``run`` seconds.
     """
     spec = specs[0]
     if any(s.cell_key() != spec.cell_key() for s in specs[1:]):
         raise ValueError("run_trial_batch requires specs from one grid cell")
     from ..core.kernel.batch import run_batch
 
-    network = by_name(spec.topology, spec.n, seed=spec.topology_seed)
     params = spec.kwargs()
     # Execution options: batching implies the kernel backend with
     # vectorized measurement (can_batch routed explicit opt-outs away).
@@ -795,6 +1036,9 @@ def run_trial_batch(
             "probe='decode' requests per-step decoded measurement — "
             "cell cannot be batched"
         )
+    cell = _trial_cell(spec, params, spans)
+    network = cell.network
+    start = _now(spans)
     if probe_sel != "auto":
         # A named probe selection: one instance per replicate (probes are
         # stateful), merged with any caller-provided per-trial probes.
@@ -813,11 +1057,11 @@ def run_trial_batch(
     fault_sched = parse_schedule(faults_spec) if faults_spec is not None else None
 
     if spec.algorithm == "unison":
-        sdr = SDR(Unison(network, period=params.pop("period", None)))
+        sdr = cell.algorithm
         max_steps = params.pop("max_steps", UNISON_MAX_STEPS)
         _reject_params(spec, params)
         cfgs = [_unison_start(sdr, spec.scenario, Random(seed)) for seed in seeds]
-        program = _require_program(sdr)
+        program = _require_program(cell)
         until = _batch_until("normal_mask")
         ok = lambda t, outcome: outcome.hit
         failure = f"predicate 'legitimate' not reached within {max_steps} steps"
@@ -831,6 +1075,7 @@ def run_trial_batch(
             ok = _batch_fault_ok(fault_sched, bounds, recoveries)
             failure = f"fault schedule not absorbed within {max_steps} steps"
             extra_fn = _batch_fault_extra(fault_sched, recoveries, wave_probes)
+        start = _lap(spans, "setup.init", start)
         result = run_batch(
             program, cfgs, daemons, [Random(seed) for seed in seeds], network,
             max_steps=max_steps,
@@ -839,23 +1084,22 @@ def run_trial_batch(
             probes=probes,
             faults=bounds,
         )
-        return _batch_trials(
-            "U o SDR", spec, seeds, network, daemons, result.outcomes,
-            ok=ok, failure=failure, extra_fn=extra_fn,
-        )
+        try:
+            return _batch_trials(
+                "U o SDR", spec, seeds, network, daemons, result.outcomes,
+                ok=ok, failure=failure, extra_fn=extra_fn,
+            )
+        finally:
+            _lap(spans, "run", start)
 
     if spec.algorithm == "boulinier":
-        algo = BoulinierUnison(
-            network,
-            period=params.pop("period", None),
-            alpha=params.pop("alpha", None),
-        )
+        algo = cell.algorithm
         max_steps = params.pop("max_steps", BOULINIER_MAX_STEPS)
         _reject_params(spec, params)
         cfgs = [
             _boulinier_start(algo, spec.scenario, Random(seed)) for seed in seeds
         ]
-        program = _require_program(algo)
+        program = _require_program(cell)
         extra = {"period": algo.period, "alpha": algo.alpha}
         until = _batch_until("legitimate_mask")
         ok = lambda t, outcome: outcome.hit
@@ -873,6 +1117,7 @@ def run_trial_batch(
             extra_fn = _batch_fault_extra(
                 fault_sched, recoveries, wave_probes, base_fn=extra_fn,
             )
+        start = _lap(spans, "setup.init", start)
         result = run_batch(
             program, cfgs, daemons, [Random(seed) for seed in seeds], network,
             max_steps=max_steps,
@@ -881,19 +1126,20 @@ def run_trial_batch(
             probes=probes,
             faults=bounds,
         )
-        return _batch_trials(
-            "boulinier", spec, seeds, network, daemons, result.outcomes,
-            ok=ok, failure=failure, extra_fn=extra_fn,
-        )
+        try:
+            return _batch_trials(
+                "boulinier", spec, seeds, network, daemons, result.outcomes,
+                ok=ok, failure=failure, extra_fn=extra_fn,
+            )
+        finally:
+            _lap(spans, "run", start)
 
     if spec.algorithm == "fga":
-        instance = params.pop("instance", "dominating-set")
+        sdr = cell.algorithm
         max_steps = params.pop("max_steps", FGA_MAX_STEPS)
         _reject_params(spec, params)
-        f, g = instance_by_name(instance, network)
-        sdr = SDR(FGA(network, f, g))
         cfgs = [_fga_start(sdr, spec.scenario, Random(seed)) for seed in seeds]
-        program = _require_program(sdr)
+        program = _require_program(cell)
         ok = lambda t, outcome: outcome.stop_reason == "terminal"
         failure = f"no terminal configuration within {max_steps} steps"
         bounds = None
@@ -903,6 +1149,7 @@ def run_trial_batch(
             )
             ok = _batch_fault_ok(fault_sched, bounds, recoveries)
             failure = f"fault schedule not absorbed within {max_steps} steps"
+        start = _lap(spans, "setup.init", start)
         result = run_batch(
             program, cfgs, daemons, [Random(seed) for seed in seeds], network,
             max_steps=max_steps,
@@ -930,19 +1177,22 @@ def run_trial_batch(
             extra_fn = _batch_fault_extra(
                 fault_sched, recoveries, wave_probes, base_fn=fga_extra,
             )
-        return _batch_trials(
-            "FGA o SDR", spec, seeds, network, daemons, result.outcomes,
-            ok=ok, failure=failure, extra_fn=extra_fn,
-        )
+        try:
+            return _batch_trials(
+                "FGA o SDR", spec, seeds, network, daemons, result.outcomes,
+                ok=ok, failure=failure, extra_fn=extra_fn,
+            )
+        finally:
+            _lap(spans, "run", start)
 
     raise ValueError(f"algorithm {spec.algorithm!r} cannot run batched")
 
 
-def _require_program(algorithm):
-    program = algorithm.kernel_program()
+def _require_program(cell: _Cell):
+    program = cell.program()
     if program is None:
         raise UnbatchableError(
-            f"{algorithm.name}: no kernel program — cell cannot be batched"
+            f"{cell.algorithm.name}: no kernel program — cell cannot be batched"
         )
     return program
 

@@ -27,6 +27,7 @@ the tier in use for :mod:`repro.telemetry.provenance`.
 from __future__ import annotations
 
 import ctypes
+import functools
 import hashlib
 import os
 import shutil
@@ -48,8 +49,10 @@ _BY_SOURCE: dict[tuple, "ctypes.CDLL | None"] = {}
 _STATUS: dict = {"compiler": None, "objects": {}, "refused": None}
 
 
+@functools.cache
 def find_compiler() -> str | None:
-    """The C compiler's path, or ``None`` when there is none."""
+    """The C compiler's path, or ``None`` when there is none (looked up
+    once per process)."""
     return shutil.which("gcc")
 
 

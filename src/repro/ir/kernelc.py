@@ -596,8 +596,8 @@ class IRKernelProgram(KernelProgram):
     methods (``normal_mask``, ``legitimate_mask``, …) for the probes;
     each takes ``(cols, memo=None)``."""
 
-    #: Marks programs produced by the IR compilers — the simulator's
-    #: legacy-authoring deprecation check keys on this.
+    #: Marks programs produced by the IR compilers (every registered
+    #: algorithm's program carries it).
     ir_generated = True
 
     def __init__(self, rule_set):

@@ -29,7 +29,7 @@ from __future__ import annotations
 from random import Random
 from typing import Any
 
-from ..core.algorithm import Algorithm
+from ..core.algorithm import Algorithm, Domain, draw_state
 from ..core.configuration import Configuration
 from ..core.exceptions import AlgorithmError
 from ..core.graph import Network
@@ -93,6 +93,11 @@ class SDR(Algorithm):
                 f"input algorithm must not reuse SDR rule labels {sorted(collision)}"
             )
         self._variables = (ST, DIST, *input_algorithm.variables())
+        # ``d_u ∈ ℕ`` is unbounded in the paper; guards only *compare*
+        # distances, so corruption beyond ``2n`` is behaviorally
+        # equivalent to a relabeling of ``[0, 2n]`` values.
+        self._own_domains = (Domain.enum(ST, STATUSES),
+                             Domain(DIST, 0, 2 * self.network.n + 1))
         self._rules = (*SDR_RULES, *input_algorithm.rule_names())
         if not input_algorithm.mutually_exclusive_rules:
             self.mutually_exclusive_rules = False
@@ -275,17 +280,15 @@ class SDR(Algorithm):
         state.update(self.input.initial_state(u))
         return state
 
-    def random_state(self, u: int, rng: Random) -> dict[str, Any]:
-        """Arbitrary state: any status, any distance in ``[0, 2n]``.
+    def domains(self):
+        """Any status, any distance in ``[0, 2n]``, then the input's
+        domains (``None`` when the input draws its own way)."""
+        inner = self.input.domains()
+        return None if inner is None else (*self._own_domains, *inner)
 
-        ``d_u ∈ ℕ`` is unbounded in the paper; guards only *compare*
-        distances, so corruption beyond ``2n`` is behaviorally equivalent
-        to a relabeling of ``[0, 2n]`` values.
-        """
-        state = {
-            ST: STATUSES[rng.randrange(3)],
-            DIST: rng.randrange(2 * self.network.n + 1),
-        }
+    def random_state(self, u: int, rng: Random) -> dict[str, Any]:
+        """Arbitrary state: the SDR layer's draws, then the input's."""
+        state = draw_state(self._own_domains, rng)
         state.update(self.input.random_state(u, rng))
         return state
 

@@ -4,10 +4,9 @@ The campaign engine (:mod:`repro.engine.pool` / :mod:`repro.engine.resume`)
 emits one event per lifecycle transition — campaign started/finished,
 batch cell composed, trial finished/failed, periodic heartbeats — to a
 pluggable *sink*.  The default sink is a JSONL file next to the result
-store (``results.jsonl`` → ``results.events.jsonl``), written with the
-same append-one-line-fsync discipline as the store itself, so a crashed
-or still-running sweep leaves a log whose intact prefix is always
-readable (:func:`read_events` tolerates a truncated tail exactly like
+store (``results.jsonl`` → ``results.events.jsonl``), written one
+fsynced line per event, so a crashed or still-running sweep leaves a
+log whose intact prefix is always readable (:func:`read_events` tolerates a truncated tail exactly like
 ``ResultStore.iter_records``).
 
 Event shape (schema version 1)::
@@ -23,7 +22,18 @@ Event types and their payloads:
     ``cell`` (cell key), ``trials``, ``kind`` ("batch").
 ``trial_finished``
     ``key``, ``status``, ``steps``, ``unit`` ("batch"/"serial"),
-    ``fallback`` (bool: a batch cell that fell back to serial).
+    ``fallback`` (bool: a batch cell that fell back to serial), and
+    ``spans`` — the trial's timings in seconds: ``setup.network`` and
+    ``setup.program`` (building the cell's network, and its algorithm
+    and kernel program; 0.0 when the trial reused its cell's),
+    ``setup.init`` (initial configuration and simulator), ``run``
+    (execution and measurement) and ``record`` (building the store
+    record and appending it).  A batched cell's spans are split evenly
+    over its replicates.  (Logs written before spans existed lack the
+    field.)
+``store_committed``
+    ``records`` (how many the commit made durable), ``seconds`` (its
+    write and fsync) — one per result-store commit that wrote records.
 ``trial_failed``
     ``key``, ``error`` (message string), ``reason``
     (``crash``/``timeout``/``error``/``budget``), ``retries`` (attempts
@@ -69,6 +79,7 @@ EVENT_TYPES = {
     "campaign_started": ("total", "pending", "workers", "batch", "store"),
     "cell_composed": ("cell", "trials", "kind"),
     "trial_finished": ("key", "status", "steps", "unit", "fallback"),
+    "store_committed": ("records", "seconds"),
     "trial_failed": ("key", "error", "reason", "retries"),
     "heartbeat": ("done", "total", "elapsed_s", "trials_per_s", "eta_s"),
     "campaign_finished": ("done", "total", "elapsed_s", "trials_per_s"),
@@ -157,8 +168,7 @@ class MemoryEventSink(EventSink):
 class JsonlEventSink(EventSink):
     """Append events to a JSONL file, one fsynced line per event.
 
-    The same durability discipline as ``ResultStore.append``: a crash
-    mid-write can corrupt at most the final line, which
+    A crash mid-write can corrupt at most the final line, which
     :func:`read_events` skips.
     """
 

@@ -24,6 +24,9 @@ from .provenance import read_manifest
 
 __all__ = ["summarize_status", "render_status"]
 
+#: The trial spans ``trial_finished`` events carry, in execution order.
+SPAN_ORDER = ("setup.network", "setup.program", "setup.init", "run", "record")
+
 
 def summarize_status(store_path: str | os.PathLike) -> dict:
     """Aggregate a sweep's store + event log into one JSON-safe summary.
@@ -34,10 +37,16 @@ def summarize_status(store_path: str | os.PathLike) -> dict:
     reason, retries}``),
     ``last_event`` (type + age of the newest event), ``throughput``
     (latest heartbeat/finish metrics), ``running`` (best-effort: events
-    exist and no ``campaign_finished`` yet), and ``manifest`` (the
-    sidecar manifest's git/campaign identity, if present).
+    exist and no ``campaign_finished`` yet), ``spans`` (per trial span
+    name, the median seconds over the ``trial_finished`` events that
+    carry spans, plus ``trials``, their count; null when none do), and
+    ``manifest`` (the sidecar manifest's git/campaign identity, if
+    present).
     """
-    # Imported lazily: engine.store is telemetry-free and must stay so.
+    # Imported lazily: engine.store is telemetry-free and must stay so,
+    # and ``import repro`` should not pay for statistics.
+    import statistics
+
     from ..engine.store import ResultStore
 
     store = ResultStore(store_path)
@@ -60,6 +69,8 @@ def summarize_status(store_path: str | os.PathLike) -> dict:
     throughput: dict | None = None
     finished = False
     saw_events = False
+    span_samples: dict[str, list[float]] = {}
+    timed_trials = 0
     for event in read_events(events_path_for(store_path)):
         saw_events = True
         last_event = {"event": event["event"], "ts": event["ts"]}
@@ -67,6 +78,10 @@ def summarize_status(store_path: str | os.PathLike) -> dict:
         if etype == "campaign_started":
             total = event["total"]
             finished = False
+        elif etype == "trial_finished" and event.get("spans"):
+            timed_trials += 1
+            for name, seconds in event["spans"].items():
+                span_samples.setdefault(name, []).append(seconds)
         elif etype == "trial_failed":
             failures.append(
                 {
@@ -106,8 +121,18 @@ def summarize_status(store_path: str | os.PathLike) -> dict:
         "last_event": last_event,
         "throughput": throughput,
         "running": saw_events and not finished,
+        "spans": {
+            "trials": timed_trials,
+            **{name: statistics.median(span_samples[name])
+               for name in sorted(span_samples, key=_span_rank)},
+        } if timed_trials else None,
         "manifest": manifest_summary,
     }
+
+
+def _span_rank(name: str) -> tuple:
+    known = name in SPAN_ORDER
+    return (0, SPAN_ORDER.index(name), "") if known else (1, 0, name)
 
 
 def render_status(summary: dict) -> str:
@@ -142,6 +167,14 @@ def render_status(summary: dict) -> str:
         if summary["running"] and throughput.get("eta_s") is not None:
             line += f", eta ~{throughput['eta_s']:.0f}s"
         lines.append(line)
+
+    spans = summary.get("spans")
+    if spans:
+        medians = ", ".join(
+            f"{name} {seconds * 1e3:.3f}ms"
+            for name, seconds in spans.items() if name != "trials"
+        )
+        lines.append(f"trial spans (median of {spans['trials']}): {medians}")
 
     for failure in summary["failures"]:
         reason = failure.get("reason", "error")

@@ -41,10 +41,9 @@ Parameter validity: the original analysis requires ``K > C_G`` and
 
 from __future__ import annotations
 
-from random import Random
 from typing import Any
 
-from ..core.algorithm import Algorithm
+from ..core.algorithm import Algorithm, Domain
 from ..core.configuration import Configuration
 from ..core.exceptions import AlgorithmError
 from ..core.graph import Network
@@ -174,8 +173,8 @@ class BoulinierUnison(Algorithm):
     def initial_state(self, u: int) -> dict[str, Any]:
         return {RCLOCK: 0}
 
-    def random_state(self, u: int, rng: Random) -> dict[str, Any]:
-        return {RCLOCK: rng.randrange(-self.alpha, self.period)}
+    def domains(self):
+        return (Domain(RCLOCK, -self.alpha, self.period),)
 
     def rule_set(self):
         """IR definition (see :mod:`repro.unison.kernelized`)."""

@@ -16,9 +16,9 @@ As an :class:`~repro.reset.interface.InputAlgorithm`, ``U`` exports to SDR:
 
 from __future__ import annotations
 
-from random import Random
 from typing import Any
 
+from ..core.algorithm import Domain
 from ..core.configuration import Configuration
 from ..core.exceptions import AlgorithmError
 from ..core.graph import Network
@@ -113,5 +113,5 @@ class Unison(InputAlgorithm):
     def initial_state(self, u: int) -> dict[str, Any]:
         return {CLOCK: 0}
 
-    def random_state(self, u: int, rng: Random) -> dict[str, Any]:
-        return {CLOCK: rng.randrange(self.period)}
+    def domains(self):
+        return (Domain(CLOCK, 0, self.period),)

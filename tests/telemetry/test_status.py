@@ -33,6 +33,16 @@ class TestFinishedSweep:
         assert summary["throughput"]["done"] == 4
         assert summary["manifest"]["campaign"]["name"] == "status-test"
 
+    def test_trial_span_medians(self, tmp_path):
+        store = run_sweep(tmp_path)
+        spans = summarize_status(store.path)["spans"]
+        assert spans["trials"] == 4
+        for name in ("setup.network", "setup.program", "setup.init", "run",
+                     "record"):
+            assert spans[name] >= 0.0
+        text = render_status(summarize_status(store.path))
+        assert "trial spans (median of 4): setup.network" in text
+
     def test_render_mentions_the_essentials(self, tmp_path):
         store = run_sweep(tmp_path)
         text = render_status(summarize_status(store.path))
